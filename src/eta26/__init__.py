@@ -21,6 +21,7 @@ from .classify import (
     apply_theorems,
     check_25n_plus_1,
     check_49n_plus_3,
+    check_family,
     profile,
     scan,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "apply_theorems",
     "check_25n_plus_1",
     "check_49n_plus_3",
+    "check_family",
     "coeff_bundle",
     "eta_power_series",
     "factorize",

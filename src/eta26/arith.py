@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import FactoringBudgetError
@@ -42,13 +43,7 @@ _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
 def primes_below(bound: int) -> list[int]:
     """All primes p < bound, ascending."""
     if bound <= TRIAL_DIVISION_BOUND:
-        # bisect would also do; the list is small enough to slice by scan
-        out = []
-        for p in _SMALL_PRIMES:
-            if p >= bound:
-                break
-            out.append(p)
-        return out
+        return _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, bound)]
     return _sieve(bound)
 
 

@@ -29,13 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import hecke
 from .arith import Factorization, factorize
 from .errors import ConsistencyError
-from .hecke import p26_cm
 
 PREDICT_ZERO = "zero"
 PREDICT_NONZERO = "nonzero"
 PREDICT_NONE = "no-prediction"
+
+# Arithmetic families p26(mult * n + offset): mult -> (offset, q), where
+# q is the modulus of the exponent gate on 12n + 1 (and mult = q^2).
+FAMILIES = {25: (1, 5), 49: (3, 7)}
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,11 @@ class VanishingReport:
     explanation: tuple[str, ...]
 
 
+def _exponent_gate(fac: Factorization, q: int) -> bool:
+    """No prime = 1 (mod 12) divides fac to a power = -1 (mod q)."""
+    return all(e % q != q - 1 for p, e in fac if p % 12 == 1)
+
+
 def _conditions(fac: Factorization) -> dict[str, bool]:
     odd = [(p, e) for p, e in fac if e % 2 == 1]
     has_3mod4_odd = any(p % 4 == 3 for p, _ in odd)
@@ -86,29 +95,34 @@ def _conditions(fac: Factorization) -> dict[str, bool]:
         "n2": not has_2mod3_odd and witness,
         "prime_power": len(fac.factors) == 1 and fac.factors[0][0] % 12 != 11,
         "odd_exp_5": not has_3mod4_odd and any(p % 12 == 5 for p, _ in odd),
-        "div_25": even_shape
-        and fac.value % 25 == 0
-        and all(e % 5 != 4 for p, e in fac if p % 12 == 1),
-        "div_49": even_shape
-        and fac.value % 49 == 0
-        and all(e % 7 != 6 for p, e in fac if p % 12 == 1),
+        "div_25": even_shape and fac.value % 25 == 0 and _exponent_gate(fac, 5),
+        "div_49": even_shape and fac.value % 49 == 0 and _exponent_gate(fac, 7),
         "odd_exp_7": not has_2mod3_odd and any(p % 12 == 7 for p, _ in odd),
     }
+
+
+def _profile(n: int, fac: Factorization) -> ConditionProfile:
+    prof = ConditionProfile(n=n, m=fac.value, factorization=fac, **_conditions(fac))
+    # logically impossible combinations; a violation means the flag
+    # computation itself is broken
+    if prof.cond_i and (prof.n1 or prof.n2):
+        raise ConsistencyError(f"cond I with N1/N2 at n={n}")
+    return prof
 
 
 def profile(n: int) -> ConditionProfile:
     """Compute every condition flag for one index n >= 0."""
     if n < 0:
         raise ValueError("profile expects n >= 0")
-    m = 12 * n + 13
-    fac = factorize(m)
-    flags = _conditions(fac)
-    prof = ConditionProfile(n=n, m=m, factorization=fac, **flags)
-    # logically impossible combinations; a violation means the flag
-    # computation itself is broken
-    if prof.cond_i and (prof.n1 or prof.n2):
-        raise ConsistencyError(f"cond I with N1/N2 at n={n}")
-    return prof
+    return _profile(n, factorize(12 * n + 13))
+
+
+def _evaluate(n: int) -> tuple[ConditionProfile, int]:
+    """Profile and p26(n), both from the one factorization coeff_bundle makes."""
+    if n < 0:
+        raise ValueError(f"expected n >= 0, got {n}")
+    bundle = hecke.coeff_bundle(12 * n + 13)
+    return _profile(n, bundle.factorization), bundle.p26
 
 
 _ZERO_RULES = (("cond-I", "cond_i"), ("cond-II", "cond_ii"))
@@ -121,11 +135,9 @@ _NONZERO_RULES = (
 )
 
 
-def apply_theorems(n: int, prof: ConditionProfile | None = None) -> VanishingReport:
+def apply_theorems(n: int) -> VanishingReport:
     """Predict zero/nonzero where a condition applies and reconcile with p26_cm."""
-    if prof is None:
-        prof = profile(n)
-    value = p26_cm(n)
+    prof, value = _evaluate(n)
     zero_hits = tuple(name for name, attr in _ZERO_RULES if getattr(prof, attr))
     nonzero_hits = tuple(name for name, attr in _NONZERO_RULES if getattr(prof, attr))
     if zero_hits and nonzero_hits:
@@ -150,59 +162,45 @@ def apply_theorems(n: int, prof: ConditionProfile | None = None) -> VanishingRep
     )
 
 
-def _odd_pair(fac: Factorization) -> bool:
-    odd = [(p, e) for p, e in fac if e % 2 == 1]
-    return any(p % 4 == 3 for p, _ in odd) and any(p % 3 == 2 for p, _ in odd)
+def check_family(mult: int, n: int) -> VanishingReport:
+    """Vanishing biconditional for p26(mult*n + offset), gated on 12n + 1.
+
+    mult is a key of FAMILIES: 25 (offset 1, q = 5) or 49 (offset 3,
+    q = 7).  Applicable when no prime = 1 (mod 12) divides 12n + 1 to a
+    power = -1 (mod q); then p26(mult*n + offset) = 0 exactly when
+    12n + 1 satisfies cond I, i.e. has both a 3 (mod 4) and a 2 (mod 3)
+    prime with odd exponent.  Outside the gate the report carries no
+    prediction.
+    """
+    if mult not in FAMILIES:
+        raise ValueError(f"unknown family {mult}; expected one of {list(FAMILIES)}")
+    if n < 0:
+        raise ValueError("check_family expects n >= 0")
+    offset, q = FAMILIES[mult]
+    base = factorize(12 * n + 1)
+    prof, value = _evaluate(mult * n + offset)
+    if not _exponent_gate(base, q):
+        return VanishingReport(
+            prof, value, PREDICT_NONE, True, (f"mod-{q}-exponent-gate-failed",)
+        )
+    rhs = _conditions(base)["cond_i"]
+    return VanishingReport(
+        prof,
+        value,
+        PREDICT_ZERO if rhs else PREDICT_NONZERO,
+        (value == 0) == rhs,
+        (f"iff-{mult}n-plus-{offset}",),
+    )
 
 
 def check_25n_plus_1(n: int) -> VanishingReport:
-    """Vanishing biconditional for p26(25n + 1), gated on 12n + 1.
-
-    Applicable when no prime = 1 (mod 12) divides 12n + 1 to a power
-    = 4 (mod 5); then p26(25n + 1) = 0 exactly when 12n + 1 has both a
-    3 (mod 4) and a 2 (mod 3) prime with odd exponent.  Outside the gate
-    the report carries no prediction.
-    """
-    if n < 0:
-        raise ValueError("check_25n_plus_1 expects n >= 0")
-    base = factorize(12 * n + 1)
-    target = 25 * n + 1
-    prof = profile(target)
-    value = p26_cm(target)
-    if not all(e % 5 != 4 for p, e in base if p % 12 == 1):
-        return VanishingReport(
-            prof, value, PREDICT_NONE, True, ("mod-5-exponent-gate-failed",)
-        )
-    rhs = _odd_pair(base)
-    return VanishingReport(
-        prof,
-        value,
-        PREDICT_ZERO if rhs else PREDICT_NONZERO,
-        (value == 0) == rhs,
-        ("iff-25n-plus-1",),
-    )
+    """Vanishing biconditional for p26(25n + 1); see check_family."""
+    return check_family(25, n)
 
 
 def check_49n_plus_3(n: int) -> VanishingReport:
-    """Vanishing biconditional for p26(49n + 3); mod-7 analogue of check_25n_plus_1."""
-    if n < 0:
-        raise ValueError("check_49n_plus_3 expects n >= 0")
-    base = factorize(12 * n + 1)
-    target = 49 * n + 3
-    prof = profile(target)
-    value = p26_cm(target)
-    if not all(e % 7 != 6 for p, e in base if p % 12 == 1):
-        return VanishingReport(
-            prof, value, PREDICT_NONE, True, ("mod-7-exponent-gate-failed",)
-        )
-    rhs = _odd_pair(base)
-    return VanishingReport(
-        prof,
-        value,
-        PREDICT_ZERO if rhs else PREDICT_NONZERO,
-        (value == 0) == rhs,
-        ("iff-49n-plus-3",),
-    )
+    """Vanishing biconditional for p26(49n + 3); see check_family."""
+    return check_family(49, n)
 
 
 @dataclass(frozen=True)
@@ -259,25 +257,17 @@ def report_record(report: VanishingReport) -> dict:
 CSV_HEADER = "n,m,factors,condI,condII,n1,n2,theorems,p26,predicted,consistent"
 
 
+def _csv_cell(value: object) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):  # factors as p^e, theorems as names
+        return " ".join(x if isinstance(x, str) else f"{x[0]}^{x[1]}" for x in value)
+    return str(value)
+
+
 def report_csv_row(report: VanishingReport) -> str:
-    """One CSV row matching CSV_HEADER; same column content as the JSON record."""
-    rec = report_record(report)
-    factors = " ".join(f"{p}^{e}" for p, e in rec["factors"])
-    theorems = " ".join(rec["theorems"])
-    cells = [
-        str(rec["n"]),
-        str(rec["m"]),
-        factors,
-        str(rec["condI"]).lower(),
-        str(rec["condII"]).lower(),
-        str(rec["n1"]).lower(),
-        str(rec["n2"]).lower(),
-        theorems,
-        rec["p26"],
-        rec["predicted"],
-        str(rec["consistent"]).lower(),
-    ]
-    return ",".join(cells)
+    """One CSV row matching CSV_HEADER; the cells of report_record, in order."""
+    return ",".join(_csv_cell(v) for v in report_record(report).values())
 
 
 def summary_record(summary: ScanSummary) -> dict:

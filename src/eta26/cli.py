@@ -89,78 +89,88 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _classify_text(report: classify.VanishingReport) -> list[str]:
+def _emit_reports(output: str, reports: list[classify.VanishingReport],
+                  text_line: Callable[[classify.VanishingReport], str],
+                  summary: dict | None, summary_text: str | None) -> None:
+    """Write reports as JSON lines, CSV rows or text lines, then any summary."""
+    if output == "json":
+        lines = _jsonl(classify.report_record(r) for r in reports)
+        if summary is not None:
+            lines += _jsonl([{"summary": summary}])
+    elif output == "csv":
+        lines = [classify.CSV_HEADER]
+        lines.extend(classify.report_csv_row(r) for r in reports)
+    else:
+        lines = [text_line(r) for r in reports]
+        if summary_text is not None:
+            lines.append(summary_text)
+    _emit(lines)
+
+
+def _classify_text(report: classify.VanishingReport) -> str:
     prof = report.profile
     factors = " * ".join(f"{p}^{e}" for p, e in prof.factorization) or "1"
     applied = ", ".join(report.explanation) or "none"
-    return [
-        f"n = {prof.n}, m = {prof.m} = {factors}",
+    return (
+        f"n = {prof.n}, m = {prof.m} = {factors}\n"
         f"flags: condI={prof.cond_i} condII={prof.cond_ii} "
-        f"n1={prof.n1} n2={prof.n2}",
-        f"p26({prof.n}) = {report.p26_value}",
+        f"n1={prof.n1} n2={prof.n2}\n"
+        f"p26({prof.n}) = {report.p26_value}\n"
         f"predicted: {report.predicted}  applied: {applied}  "
-        f"consistent: {report.consistent}",
-    ]
+        f"consistent: {report.consistent}"
+    )
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("n must be >= 0")
     report = classify.apply_theorems(args.n)
-    if args.output == "json":
-        _emit(_jsonl([classify.report_record(report)]))
-    elif args.output == "csv":
-        _emit([classify.CSV_HEADER, classify.report_csv_row(report)])
-    else:
-        _emit(_classify_text(report))
+    _emit_reports(args.output, [report], _classify_text, None, None)
     return EXIT_OK if report.consistent else EXIT_RED_FLAG
+
+
+def _scan_text(r: classify.VanishingReport) -> str:
+    tag = "ZERO" if r.p26_value == 0 else "nonzero"
+    applied = ",".join(r.explanation) or "-"
+    return f"n={r.profile.n} m={r.profile.m} {tag} [{applied}] p26={r.p26_value}"
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.start < 0 or args.end < args.start:
         raise UsageError("scan expects 0 <= start <= end")
     reports, summary = classify.scan(args.start, args.end)
-    if args.output == "json":
-        lines = _jsonl(classify.report_record(r) for r in reports)
-        lines.append(json.dumps({"summary": classify.summary_record(summary)},
-                                separators=(",", ":")))
-        _emit(lines)
-    elif args.output == "csv":
-        lines = [classify.CSV_HEADER]
-        lines.extend(classify.report_csv_row(r) for r in reports)
-        _emit(lines)
+    unexplained = list(summary.unexplained_zeros)
+    _emit_reports(
+        args.output, reports, _scan_text, classify.summary_record(summary),
+        f"summary: {summary.zero_count} zeros, "
+        f"{summary.explained_zero_count} explained, unexplained: {unexplained}",
+    )
+    if args.output == "csv":
         sys.stderr.write(
             f"zeros: {summary.zero_count}, explained: "
-            f"{summary.explained_zero_count}, unexplained: "
-            f"{list(summary.unexplained_zeros)}\n"
+            f"{summary.explained_zero_count}, unexplained: {unexplained}\n"
         )
-    else:
-        lines = []
-        for r in reports:
-            tag = "ZERO" if r.p26_value == 0 else "nonzero"
-            applied = ",".join(r.explanation) or "-"
-            lines.append(
-                f"n={r.profile.n} m={r.profile.m} {tag} [{applied}] "
-                f"p26={r.p26_value}"
-            )
-        lines.append(
-            f"summary: {summary.zero_count} zeros, "
-            f"{summary.explained_zero_count} explained, "
-            f"unexplained: {list(summary.unexplained_zeros)}"
-        )
-        _emit(lines)
     bad = [r for r in reports if not r.consistent]
-    if bad or summary.unexplained_zeros:
+    if bad or unexplained:
         sys.stderr.write(
             f"red flag: {len(bad)} inconsistent reports, unexplained zeros "
-            f"{list(summary.unexplained_zeros)}\n"
+            f"{unexplained}\n"
         )
         return EXIT_RED_FLAG
     return EXIT_OK
 
 
+def _props_bounds(args: argparse.Namespace) -> tuple[int, int, int]:
+    """(prime, exponent, l) bounds for props.run_all, rejected early if unusable."""
+    if args.prime_bound < 13:
+        raise UsageError("--prime-bound must be >= 13")
+    if args.exp_bound < 0 or args.l_bound < 0:
+        raise UsageError("--exp-bound and --l-bound must be >= 0")
+    return args.prime_bound, args.exp_bound, args.l_bound
+
+
 def _cmd_verify_props(args: argparse.Namespace) -> int:
-    reports = props.run_all(args.prime_bound, args.exp_bound, args.l_bound)
+    reports = props.run_all(*_props_bounds(args))
     if args.output == "json":
         _emit(_jsonl(props.report_record(r) for r in reports))
     elif args.output == "csv":
@@ -183,44 +193,34 @@ def _cmd_verify_props(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _mt_check_text(r: classify.VanishingReport) -> str:
+    state = r.explanation[0] if r.explanation else "-"
+    return (f"n={r.profile.n} p26={r.p26_value} predicted={r.predicted} "
+            f"[{state}] consistent={r.consistent}")
+
+
 def _cmd_mt_check(args: argparse.Namespace) -> int:
     if args.start < 0 or args.end < args.start:
         raise UsageError("mt-check expects 0 <= start <= end")
-    check = classify.check_25n_plus_1 if args.family == 25 else classify.check_49n_plus_3
-    reports = [check(n) for n in range(args.start, args.end + 1)]
+    reports = [classify.check_family(args.family, n)
+               for n in range(args.start, args.end + 1)]
     gated = [r for r in reports if r.predicted != classify.PREDICT_NONE]
-    bad = [r for r in gated if not r.consistent]
-    if args.output == "json":
-        lines = _jsonl(classify.report_record(r) for r in reports)
-        lines.append(json.dumps(
-            {"summary": {"checked": len(reports), "gated": len(gated),
-                         "violations": [r.profile.n for r in bad]}},
-            separators=(",", ":")))
-        _emit(lines)
-    elif args.output == "csv":
-        lines = [classify.CSV_HEADER]
-        lines.extend(classify.report_csv_row(r) for r in reports)
-        _emit(lines)
-    else:
-        lines = []
-        for r in reports:
-            state = r.explanation[0] if r.explanation else "-"
-            lines.append(
-                f"n={r.profile.n} p26={r.p26_value} predicted={r.predicted} "
-                f"[{state}] consistent={r.consistent}"
-            )
-        lines.append(f"summary: {len(gated)}/{len(reports)} gated, "
-                     f"{len(bad)} violations")
-        _emit(lines)
+    bad = [r.profile.n for r in gated if not r.consistent]
+    _emit_reports(
+        args.output, reports, _mt_check_text,
+        {"checked": len(reports), "gated": len(gated), "violations": bad},
+        f"summary: {len(gated)}/{len(reports)} gated, {len(bad)} violations",
+    )
     if bad:
-        sys.stderr.write(
-            f"red flag: biconditional violated at n={[r.profile.n for r in bad]}\n"
-        )
+        sys.stderr.write(f"red flag: biconditional violated at n={bad}\n")
         return EXIT_RED_FLAG
     return EXIT_OK
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    bounds = _props_bounds(args)
+    if args.limit < 0:
+        raise UsageError("--limit must be >= 0")
     failures = 0
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -242,7 +242,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     mismatch = [n for n in range(args.limit + 1) if p26_cm(n) != table[n]]
     check(f"cm = series on [0, {args.limit}]", not mismatch,
           f"first mismatch at n={mismatch[0]}" if mismatch else "")
-    for rep in props.run_all(args.prime_bound, args.exp_bound, args.l_bound):
+    for rep in props.run_all(*bounds):
         check(f"props {rep.prop_id}", rep.ok, f"{len(rep.failures)} failures")
     _, summary = classify.scan(0, min(args.limit, 200))
     check("no unexplained zeros", not summary.unexplained_zeros)
@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mt-check",
                        help="vanishing biconditionals for 25n+1 / 49n+3")
-    p.add_argument("family", type=int, choices=(25, 49))
+    p.add_argument("family", type=int, choices=tuple(classify.FAMILIES))
     p.add_argument("start", type=int)
     p.add_argument("end", type=int)
     _add_output_flag(p)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TypeVar
 
-from .arith import factorize, is_prime
+from .arith import Factorization, factorize, is_prime
 from .errors import ConsistencyError
 from .quadrep import one_three_squares, two_squares
 
@@ -162,14 +162,17 @@ class CoeffBundle:
 
     t1p + t1m is always a rational integer, and the combination
     t1p + t1m - t2p - t2m is exactly divisible by P26_DENOMINATOR;
-    coeff_bundle enforces both.
+    coeff_bundle enforces both and stores the quotient as p26.  The
+    factorization of m it was built from is kept for reuse.
     """
 
     m: int
+    factorization: Factorization
     t1p: AlgInt3
     t1m: AlgInt3
     t2p: int
     t2m: int
+    p26: int
 
     def combination(self) -> AlgInt3:
         return self.t1p + self.t1m - AlgInt3(self.t2p + self.t2m, 0)
@@ -185,11 +188,12 @@ def coeff_bundle(m: int) -> CoeffBundle:
     """
     if m % 12 != 1 or m < 13:
         raise ValueError(f"coeff_bundle expects m = 1 mod 12, m >= 13, got {m}")
+    fac = factorize(m)
     t1p = ALG_ONE
     t2p = 1
     odd_7 = 0
     odd_5 = 0
-    for p, alpha in factorize(m):
+    for p, alpha in fac:
         chi = 1 if p % 4 == 1 else -1
         t1p = t1p * t_prime_power(t1_prime(p), p, alpha, chi)
         t2p = t2p * t_prime_power(t2_prime(p), p, alpha, chi)
@@ -200,20 +204,19 @@ def coeff_bundle(m: int) -> CoeffBundle:
                 odd_5 += 1
     t1m = t1p if odd_7 % 2 == 0 else -t1p
     t2m = t2p if odd_5 % 2 == 0 else -t2p
-    bundle = CoeffBundle(m, t1p, t1m, t2p, t2m)
-    check = bundle.combination()
+    check = t1p + t1m - AlgInt3(t2p + t2m, 0)
     if check.b != 0:
         raise ConsistencyError(f"t1p + t1m not rational at m={m}: {t1p} + {t1m}")
-    if check.a % P26_DENOMINATOR != 0:
+    p26, rem = divmod(check.a, P26_DENOMINATOR)
+    if rem != 0:
         raise ConsistencyError(
             f"combination {check.a} at m={m} not divisible by {P26_DENOMINATOR}"
         )
-    return bundle
+    return CoeffBundle(m, fac, t1p, t1m, t2p, t2m, p26)
 
 
 def p26_cm(n: int) -> int:
     """p26(n) via the exact coefficient combination at 12n + 13."""
     if n < 0:
         raise ValueError("p26_cm expects n >= 0")
-    bundle = coeff_bundle(12 * n + 13)
-    return bundle.combination().a // P26_DENOMINATOR
+    return coeff_bundle(12 * n + 13).p26

@@ -116,6 +116,16 @@ def test_primes_below():
     assert big[-1] == sympy.prevprime(200_000)
 
 
+def test_primes_below_boundaries_and_fresh_list():
+    assert primes_below(-5) == primes_below(0) == primes_below(2) == []
+    assert primes_below(3) == [2]
+    assert primes_below(19) == [2, 3, 5, 7, 11, 13, 17]
+    full = primes_below(100_000)  # exactly the internal sieve bound
+    assert len(full) == sympy.primepi(99_999)
+    full.clear()
+    assert primes_below(100_000)[:3] == [2, 3, 5]
+
+
 def test_is_prime_rejects_negative():
     with pytest.raises(ValueError):
         is_prime(-7)

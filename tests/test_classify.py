@@ -1,11 +1,15 @@
 import json
+from functools import partial
 
 import pytest
 
+import eta26.classify as classify_mod
+import eta26.hecke as hecke_mod
 from eta26 import (
     apply_theorems,
     check_25n_plus_1,
     check_49n_plus_3,
+    check_family,
     eta_power_series,
     p26_cm,
     profile,
@@ -77,40 +81,60 @@ def test_no_prediction_outside_hypotheses():
         pytest.fail("expected at least one unpredicted index below 200")
 
 
+# each family check through check_family and through its delegate
+CHECKS_25 = (partial(check_family, 25), check_25n_plus_1)
+CHECKS_49 = (partial(check_family, 49), check_49n_plus_3)
+
+
 def test_check_25n_plus_1():
-    rep = check_25n_plus_1(1)  # 12n+1 = 13
-    assert rep.predicted == PREDICT_NONZERO
-    assert rep.profile.n == 26
-    assert rep.consistent and rep.p26_value != 0
+    for check in CHECKS_25:
+        rep = check(1)  # 12n+1 = 13
+        assert rep.predicted == PREDICT_NONZERO
+        assert rep.explanation == ("iff-25n-plus-1",)
+        assert rep.profile.n == 26
+        assert rep.consistent and rep.p26_value != 0
 
-    rep = check_25n_plus_1(21)  # 12n+1 = 253 = 11 * 23, both odd
-    assert rep.predicted == PREDICT_ZERO
-    assert rep.profile.n == 526
-    assert rep.consistent and rep.p26_value == 0
+        rep = check(21)  # 12n+1 = 253 = 11 * 23, both odd
+        assert rep.predicted == PREDICT_ZERO
+        assert rep.profile.n == 526
+        assert rep.consistent and rep.p26_value == 0
 
-    rep = check_25n_plus_1(2380)  # 12n+1 = 13^4 violates the mod-5 gate
-    assert rep.predicted == PREDICT_NONE
-    assert rep.explanation == ("mod-5-exponent-gate-failed",)
-    assert rep.consistent
+        rep = check(2380)  # 12n+1 = 13^4 violates the mod-5 gate
+        assert rep.predicted == PREDICT_NONE
+        assert rep.explanation == ("mod-5-exponent-gate-failed",)
+        assert rep.consistent
 
 
 def test_check_49n_plus_3():
-    rep = check_49n_plus_3(1)
-    assert rep.predicted == PREDICT_NONZERO
-    assert rep.profile.n == 52
-    assert rep.consistent and rep.p26_value != 0
+    for check in CHECKS_49:
+        rep = check(1)
+        assert rep.predicted == PREDICT_NONZERO
+        assert rep.explanation == ("iff-49n-plus-3",)
+        assert rep.profile.n == 52
+        assert rep.consistent and rep.p26_value != 0
 
-    rep = check_49n_plus_3(21)
-    assert rep.predicted == PREDICT_ZERO
-    assert rep.profile.n == 1032
-    assert rep.consistent and rep.p26_value == 0
+        rep = check(21)
+        assert rep.predicted == PREDICT_ZERO
+        assert rep.profile.n == 1032
+        assert rep.consistent and rep.p26_value == 0
+
+        # 12n+1 = 13^6 violates the mod-7 gate
+        rep = check((13**6 - 1) // 12)
+        assert rep.predicted == PREDICT_NONE
+        assert rep.explanation == ("mod-7-exponent-gate-failed",)
+        assert rep.consistent
 
 
 def test_mt_checks_reject_negative():
-    with pytest.raises(ValueError):
-        check_25n_plus_1(-1)
-    with pytest.raises(ValueError):
-        check_49n_plus_3(-1)
+    for check in CHECKS_25 + CHECKS_49:
+        with pytest.raises(ValueError):
+            check(-1)
+
+
+def test_check_family_rejects_unknown_family():
+    for mult in (0, 5, 7, 36, 121):
+        with pytest.raises(ValueError):
+            check_family(mult, 1)
 
 
 def test_mt_gate_detection_uses_1_mod_12_primes_only():
@@ -178,6 +202,7 @@ def test_report_record_schema():
 
 
 def test_csv_row_matches_header():
+    assert CSV_HEADER.split(",") == list(report_record(apply_theorems(20)))
     row = report_csv_row(apply_theorems(20))
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
     assert row.startswith("20,253,11^1 23^1,true,false,false,false,cond-I,0,zero,true")
@@ -194,3 +219,33 @@ def test_summary_record():
 def test_value_agrees_with_direct_cm():
     for n in (0, 9, 20, 26, 51):
         assert apply_theorems(n).p26_value == p26_cm(n)
+
+
+def _count_factorize(monkeypatch) -> list[int]:
+    """Count factorize calls through the hecke and classify bindings."""
+    calls = []
+    for mod in (hecke_mod, classify_mod):
+        real = mod.factorize
+
+        def counted(m, _real=real):
+            calls.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(mod, "factorize", counted)
+    return calls
+
+
+def test_scan_factors_each_index_once(monkeypatch):
+    calls = _count_factorize(monkeypatch)
+    reports, _ = scan(0, 50)
+    assert len(reports) == 51
+    assert sorted(calls) == [12 * n + 13 for n in range(51)]
+
+
+def test_check_family_factors_twice_per_index(monkeypatch):
+    calls = _count_factorize(monkeypatch)
+    for mult in (25, 49):
+        calls.clear()
+        for n in range(20):
+            check_family(mult, n)
+        assert len(calls) == 2 * 20, mult

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 import eta26.cli as cli
 from eta26.props import PropReport
@@ -120,10 +123,17 @@ def test_usage_errors_exit_1(capsys):
         ["nonsense"],
         ["coeff", "1", "--r", "0"],
         ["mt-check", "30", "0", "1"],
+        ["verify-props", "--prime-bound", "3"],
+        ["verify-props", "--prime-bound", "12"],
+        ["verify-props", "--exp-bound", "-3"],
+        ["verify-props", "--l-bound", "-1"],
+        ["selftest", "--prime-bound", "3"],
+        ["selftest", "--limit", "-1"],
     ):
-        code, _, err = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert code == 1, argv
-        assert "usage" in err or "error" in err
+        assert err.startswith("error: "), argv
+        assert out == "", argv
 
 
 def test_budget_exhaustion_exits_1(capsys):
@@ -160,3 +170,21 @@ def test_consistency_error_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, ["coeff", "9", "--method", "cm"])
     assert code == 2
     assert "red flag" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", [
+    ["scan", "0", "60"],
+    ["mt-check", "25", "0", "30"],
+    ["mt-check", "49", "0", "30"],
+    ["classify", "26"],
+])
+def test_golden_output_bytes(capsys, argv, fmt):
+    # stdout recorded before records were rendered in one place
+    code, out, _ = run(capsys, argv + ["--output", fmt])
+    assert code == 0
+    expected = (GOLDEN / f"{'-'.join(argv)}.{fmt}").read_bytes()
+    assert out.encode() == expected
