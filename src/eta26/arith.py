@@ -10,6 +10,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import FactoringBudgetError
 
@@ -28,23 +29,26 @@ _EXTRA_ROUNDS = 64
 DEFAULT_FACTOR_BUDGET = 4_000_000
 
 
-def _sieve(bound: int) -> list[int]:
+def _sieve(bound: int) -> bytearray:
+    """flags[i] == 1 exactly when i < bound is prime."""
     flags = bytearray([1]) * bound
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(bound - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = b"\x00" * len(range(i * i, bound, i))
-    return [i for i, f in enumerate(flags) if f]
+    return flags
 
 
-_SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
+# Primality below TRIAL_DIVISION_BOUND is a lookup in this table.
+_SMALL_FLAGS = _sieve(TRIAL_DIVISION_BOUND)
+_SMALL_PRIMES = list(compress(range(TRIAL_DIVISION_BOUND), _SMALL_FLAGS))
 
 
 def primes_below(bound: int) -> list[int]:
     """All primes p < bound, ascending."""
     if bound <= TRIAL_DIVISION_BOUND:
         return _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, bound)]
-    return _sieve(bound)
+    return list(compress(range(bound), _sieve(bound)))
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -65,15 +69,16 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_prime(m: int) -> bool:
     """Primality test.
 
-    Deterministic for 0 <= m < 3.3e24 (the 13-base Miller-Rabin bound);
-    beyond that the answer is probabilistic with error probability
-    below 2**-128.  The extra bases are drawn from an RNG seeded by m,
-    so the answer for a given m is reproducible.
+    Exact by sieve lookup below TRIAL_DIVISION_BOUND; deterministic
+    Miller-Rabin below 3.3e24 (the 13-base bound); beyond that the
+    answer is probabilistic with error probability below 2**-128.  The
+    extra bases are drawn from an RNG seeded by m, so the answer for a
+    given m is reproducible.
     """
     if m < 0:
         raise ValueError("is_prime expects m >= 0")
-    if m < 2:
-        return False
+    if m < TRIAL_DIVISION_BOUND:
+        return _SMALL_FLAGS[m] == 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if m % p == 0:
             return m == p

@@ -8,7 +8,9 @@ tuple (prime, exponent, detail).
 Divisibility and periodicity checks run a mod-5 / mod-7 reduction of the
 prime-power recursion (constant-size state) so the bounds can scale; the
 first primes of every class are spot-checked against the full-precision
-recursion to keep the reduced path honest.
+recursion to keep the reduced path honest.  At p = 5 and p = 7 (mod 12)
+those primes are also checked against the independent q-series oracle,
+which pins the sign conventions that the mod-5 / mod-7 claims cannot see.
 """
 
 from __future__ import annotations
@@ -16,13 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import primes_below
-from .hecke import AlgInt3, t1_prime, t2_prime, t_prime_power
+from .hecke import P26_DENOMINATOR, AlgInt3, t1_prime, t2_prime, t_prime_power
+from .series import p26_oracle
 
 DEFAULT_PRIME_BOUND = 10_000
 DEFAULT_EXPONENT_BOUND = 14
 DEFAULT_L_BOUND = 3
 
 _SPOT_CHECKS = 3  # primes per class compared against full precision
+
+# Oracle identities at m = 12n + 13 = 5p and 7p (criteria 1 and 2 pin
+# t2(5) = 20592 and t1(7) = -102960 sqrt(-3)):
+#   t2(p) = -792 p26((5p - 13)/12)                  for p = 5 (mod 12)
+#   617760 t1(p).b = 32617728 p26((7p - 13)/12)     for p = 7 (mod 12)
+# with 617760 = -6 * (-102960).
+_T2_ORACLE_FACTOR = -792
+_T1_ORACLE_FACTOR = 617760
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,9 @@ def verify_t2_at_5_mod_12(
 
     Claims checked per prime: 5 divides t2(p) except at p = 5; 5 never
     divides t2(p^(2a)) for 1 <= a <= exponent_bound; t2(p) mod 7 lies in
-    {0, 2, 5}; and 7 | t2(p) exactly when p = 1, 2 or 4 (mod 7).
+    {0, 2, 5}; and 7 | t2(p) exactly when p = 1, 2 or 4 (mod 7).  The
+    first _SPOT_CHECKS primes must also satisfy t2(p) = -792 p26(n) with
+    12n + 13 = 5p, from the series oracle.
     """
     if prime_bound < 5:
         raise ValueError("prime_bound must be >= 5")
@@ -118,6 +131,8 @@ def verify_t2_at_5_mod_12(
             spot += 1
             if not _spot_check_int(v, p, min(6, 2 * exponent_bound), 5, 1):
                 failures.append((p, None, "reduced mod-5 recursion mismatch"))
+            if v != _T2_ORACLE_FACTOR * p26_oracle((5 * p - 13) // 12):
+                failures.append((p, 1, "t2(p) != -792 * p26((5p - 13)/12)"))
     return PropReport("t2-divisibility-5mod12", prime_bound, exponent_bound,
                       checked, tuple(failures))
 
@@ -130,7 +145,9 @@ def verify_t1_at_7_mod_12(
 
     t1(p) = h * sqrt(-3); checks 5 | h always, 7 | h exactly when
     p != 7, and that neither 5 nor 7 divides t1(p^(2a)) for
-    1 <= a <= exponent_bound.
+    1 <= a <= exponent_bound.  The first _SPOT_CHECKS primes must also
+    satisfy 617760 h = 32617728 p26(n) with 12n + 13 = 7p, from the
+    series oracle.
     """
     if prime_bound < 7:
         raise ValueError("prime_bound must be >= 7")
@@ -149,6 +166,11 @@ def verify_t1_at_7_mod_12(
             for q in (5, 7):
                 if not _spot_check_alg(t, p, min(6, 2 * exponent_bound), q, -1):
                     failures.append((p, None, f"reduced mod-{q} recursion mismatch"))
+            oracle = P26_DENOMINATOR * p26_oracle((7 * p - 13) // 12)
+            if _T1_ORACLE_FACTOR * t.b != oracle:
+                failures.append(
+                    (p, 1, "617760 * t1(p)/sqrt(-3) != 32617728 * p26((7p - 13)/12)")
+                )
         if t.b % 5 != 0:
             failures.append((p, 1, "expected 5 | t1(p)/sqrt(-3)"))
         if (t.b % 7 == 0) == (p == 7):

@@ -22,6 +22,18 @@ p = z^2 + 3w^2  (exists iff p = 1 mod 3):
 
 For p = 1 mod 12 the two sign_plus bits always agree; hecke relies on
 that correlation, and the test suite sweeps it.
+
+Algorithm: Cornacchia (1908; Cohen, A Course in Computational Algebraic
+Number Theory, Alg. 1.5.2).  Tonelli-Shanks gives r = sqrt(-d) mod p,
+the Euclidean algorithm on (p, r) stops at the first remainder b <=
+sqrt(p), and (p - b^2)/d must be an exact square.  The solution is
+unique up to signs (and order, for d = 1), so the normalization above
+does not depend on how it was found.  The cost is O(log p) modular
+multiplications and Euclidean steps, except for the search for a
+quadratic nonresidue, which is capped at Bach's bound 2 (ln p)^2 (it
+holds for every prime under GRH).  Past the cap, or if no
+representation comes out for a certified prime, ConsistencyError is
+raised; no loop here grows faster than polylogarithmically in p.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import is_prime
+from .errors import ConsistencyError
 
 
 @dataclass(frozen=True)
@@ -62,22 +75,55 @@ class EisRep:
             raise ValueError("z^2 + 3w^2 != p")
 
 
-def _search_two_squares(p: int) -> tuple[int, int]:
-    # x odd, y even and unique up to signs for prime p; plain enumeration
-    # over the even coordinate is exact and fast at desk scale.
-    for y in range(0, math.isqrt(p) + 1, 2):
-        x2 = p - y * y
-        x = math.isqrt(x2)
-        if x * x == x2:
-            return x, y
-    raise ValueError(f"no two-square representation found for {p}")
+def _cornacchia(d: int, p: int) -> tuple[int, int]:
+    """Nonnegative u, v with u^2 + d*v^2 = p, for d in (1, 3) and prime p.
+
+    For d = 1 the pair is ordered so that u is odd.
+    """
+    # Tonelli-Shanks for r = sqrt(-d) mod p, with p - 1 = q * 2^s, q odd
+    a = -d % p
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    if t != 1:
+        for z in range(2, int(2 * math.log(p) ** 2) + 1):
+            if pow(z, (p - 1) // 2, p) == p - 1:
+                break
+        else:
+            raise ConsistencyError(f"no quadratic nonresidue mod {p} below the cap")
+        c = pow(z, q, p)
+        while t != 1:
+            i, t2i = 0, t
+            while t2i != 1:
+                t2i = t2i * t2i % p
+                i += 1
+                if i == s:
+                    raise ConsistencyError(f"{-d} is not a square mod {p}")
+            b = pow(c, 1 << (s - i - 1), p)
+            r = r * b % p
+            c = b * b % p
+            t = t * c % p
+            s = i
+    # Euclid on (p, r) down to the first remainder <= sqrt(p)
+    a, b = p, r
+    bound = math.isqrt(p)
+    while b > bound:
+        a, b = b, a % b
+    v2, rem = divmod(p - b * b, d)
+    v = math.isqrt(v2)
+    if rem != 0 or v * v != v2:
+        raise ConsistencyError(f"Cornacchia found no u^2 + {d}v^2 = {p}")
+    if d == 1 and b % 2 == 0:
+        return v, b
+    return b, v
 
 
 def two_squares(p: int) -> GaussRep:
     """Normalized representation p = x^2 + y^2 for a prime p = 1 mod 4."""
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"two_squares expects a prime = 1 mod 4, got {p}")
-    x, y = _search_two_squares(p)
+    x, y = _cornacchia(1, p)
     if p % 12 == 5:
         if x % 3 != 1:
             x = -x
@@ -98,13 +144,7 @@ def one_three_squares(p: int) -> EisRep:
     """Normalized representation p = z^2 + 3w^2 for a prime p = 1 mod 3."""
     if p % 3 != 1 or not is_prime(p):
         raise ValueError(f"one_three_squares expects a prime = 1 mod 3, got {p}")
-    for w in range(0, math.isqrt(p // 3) + 1):
-        z2 = p - 3 * w * w
-        z = math.isqrt(z2)
-        if z * z == z2:
-            break
-    else:
-        raise ValueError(f"no z^2 + 3w^2 representation found for {p}")
+    z, w = _cornacchia(3, p)
     if z % 3 != 1:
         z = -z
     if p % 12 == 7:

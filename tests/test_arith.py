@@ -1,9 +1,12 @@
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eta26 import FactoringBudgetError, Factorization, factorize, is_prime, ord_p, primes_below
+from eta26.arith import TRIAL_DIVISION_BOUND
 
 
 def test_factorize_examples():
@@ -64,6 +67,16 @@ def test_is_prime_agrees_with_sieve():
     sieve = set(primes_below(2000))
     for m in range(2000):
         assert is_prime(m) == (m in sieve)
+
+
+def _trial_division_is_prime(m):
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+def test_is_prime_table_matches_trial_division():
+    # the lookup table below the bound, and Miller-Rabin just past it
+    for m in range(TRIAL_DIVISION_BOUND + 100):
+        assert is_prime(m) == _trial_division_is_prime(m), m
 
 
 @given(st.integers(min_value=2, max_value=10**12))

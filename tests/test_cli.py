@@ -188,3 +188,11 @@ def test_golden_output_bytes(capsys, argv, fmt):
     assert code == 0
     expected = (GOLDEN / f"{'-'.join(argv)}.{fmt}").read_bytes()
     assert out.encode() == expected
+
+
+def test_golden_coeff_at_a_prime_near_1e14(capsys):
+    # 12 * 8333333333354 + 13 = 100000000000261 is prime; stdout recorded
+    # when quadrep still enumerated up to sqrt(p)
+    code, out, _ = run(capsys, ["coeff", "8333333333354", "--output", "json"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "coeff-8333333333354.json").read_bytes()

@@ -1,6 +1,10 @@
 import json
 
-from eta26 import p26_oracle, primes_below, t1_prime, t2_prime, t_prime_power
+import pytest
+
+from eta26 import hecke, p26_oracle, primes_below, t1_prime, t2_prime, t_prime_power
+from eta26.cli import main
+from eta26.quadrep import EisRep, GaussRep
 from eta26.props import (
     report_record,
     run_all,
@@ -115,3 +119,66 @@ def test_run_all_order_and_cleanliness():
         "t1-t2-difference-nonvanishing",
     ]
     assert all(r.ok for r in reports)
+
+
+def _flip_y_at_5_mod_12(two_squares):
+    def flipped(p):
+        rep = two_squares(p)
+        if p % 12 != 5:
+            return rep
+        return GaussRep(p, rep.x, -rep.y, rep.sign_plus)
+    return flipped
+
+
+def _flip_w_at_7_mod_12(one_three_squares):
+    def flipped(p):
+        rep = one_three_squares(p)
+        if p % 12 != 7:
+            return rep
+        return EisRep(p, rep.z, -rep.w, rep.sign_plus)
+    return flipped
+
+
+@pytest.fixture
+def flip(monkeypatch):
+    """Wrap a representation function as hecke sees it, with cold caches."""
+    def install(name, wrap):
+        monkeypatch.setattr(hecke, name, wrap(getattr(hecke, name)))
+        t1_prime.cache_clear()
+        t2_prime.cache_clear()
+    yield install
+    monkeypatch.undo()
+    t1_prime.cache_clear()
+    t2_prime.cache_clear()
+
+
+def _failing(reports):
+    return {r.prop_id for r in reports if not r.ok}
+
+
+def test_flipped_y_convention_at_5_mod_12_is_reported(flip):
+    # the mod-5 and mod-7 claims are symmetric under t2(p) -> -t2(p); only
+    # the series oracle fixes the sign
+    flip("two_squares", _flip_y_at_5_mod_12)
+    assert t2_prime(257) % 7 == 5
+    assert _failing(run_all(400, 4, 2)) == {"t2-divisibility-5mod12"}
+    report = verify_t2_at_5_mod_12(400, 4)
+    assert [p for p, _, _ in report.failures] == [5, 17, 29]
+
+
+def test_flipped_w_orientation_at_7_mod_12_is_reported(flip):
+    flip("one_three_squares", _flip_w_at_7_mod_12)
+    assert t1_prime(7).b == 102960
+    assert _failing(run_all(400, 4, 2)) == {"t1-divisibility-7mod12"}
+    report = verify_t1_at_7_mod_12(400, 4)
+    assert [p for p, _, _ in report.failures] == [7, 19, 31]
+
+
+@pytest.mark.parametrize("name, wrap, witness", [
+    ("two_squares", _flip_y_at_5_mod_12, "t2(p) != -792"),
+    ("one_three_squares", _flip_w_at_7_mod_12, "617760 * t1(p)"),
+])
+def test_verify_props_exits_2_on_flipped_sign(flip, capsys, name, wrap, witness):
+    flip(name, wrap)
+    assert main(["verify-props", "--prime-bound", "400", "--output", "json"]) == 2
+    assert witness in capsys.readouterr().out

@@ -1,7 +1,58 @@
-import pytest
+import math
+import time
 
-from eta26 import one_three_squares, primes_below, two_squares
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eta26 import (
+    ConsistencyError,
+    is_prime,
+    one_three_squares,
+    p26_cm,
+    primes_below,
+    quadrep,
+    two_squares,
+)
 from eta26.quadrep import EisRep, GaussRep
+
+
+def _enumerate_two_squares(p):
+    """Reference oracle: x odd, y even by enumeration of y up to sqrt(p)."""
+    for y in range(0, math.isqrt(p) + 1, 2):
+        x2 = p - y * y
+        x = math.isqrt(x2)
+        if x * x == x2:
+            return x, y
+    raise ValueError(f"no two-square representation found for {p}")
+
+
+def _enumerate_one_three_squares(p):
+    """Reference oracle: z, w >= 0 by enumeration of w up to sqrt(p/3)."""
+    for w in range(0, math.isqrt(p // 3) + 1):
+        z2 = p - 3 * w * w
+        z = math.isqrt(z2)
+        if z * z == z2:
+            return z, w
+    raise ValueError(f"no z^2 + 3w^2 representation found for {p}")
+
+
+def _enumerate(d, p):
+    return _enumerate_two_squares(p) if d == 1 else _enumerate_one_three_squares(p)
+
+
+def _reps(p):
+    return (two_squares(p) if p % 4 == 1 else None,
+            one_three_squares(p) if p % 3 == 1 else None)
+
+
+def _assert_reps_match_enumeration(primes):
+    """The public normalized reps equal those built on the enumeration."""
+    fast = [_reps(p) for p in primes]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quadrep, "_cornacchia", _enumerate)
+        slow = [_reps(p) for p in primes]
+    assert fast == slow
 
 
 def _gauss_pow12(x, y):
@@ -126,3 +177,54 @@ def test_rep_constructors_validate():
         GaussRep(5, 3, 2, True)  # 3^2 + 2^2 != 5
     with pytest.raises(ValueError):
         EisRep(7, 1, 1, True)  # 1 + 3 != 7
+
+
+def test_reps_match_enumeration_below_2e5():
+    _assert_reps_match_enumeration([p for p in primes_below(200_000) if p >= 5])
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# hypothesis favours small integers, so the top decade gets its own branch
+primes_to_1e9 = (
+    st.integers(min_value=5, max_value=10**9)
+    | st.integers(min_value=10**8, max_value=10**9)
+).map(_next_prime)
+
+
+@given(primes_to_1e9)
+@settings(max_examples=40, deadline=None)
+def test_reps_match_enumeration_to_1e9(p):
+    _assert_reps_match_enumeration([p])
+
+
+@given(st.integers(min_value=5, max_value=10**40).map(_next_prime))
+@settings(max_examples=60)
+def test_cornacchia_never_raises_on_a_certified_prime(p):
+    if p % 4 == 1:
+        x, y = quadrep._cornacchia(1, p)
+        assert x * x + y * y == p and x % 2 == 1 and y >= 0
+    if p % 3 == 1:
+        z, w = quadrep._cornacchia(3, p)
+        assert z * z + 3 * w * w == p and z >= 0 and w >= 0
+
+
+def test_nonresidue_search_is_capped():
+    # every z below the cap 2 (ln 25)^2 has z^12 != -1 (mod 25), so the
+    # search gives up instead of running on
+    with pytest.raises(ConsistencyError, match="nonresidue"):
+        quadrep._cornacchia(1, 25)
+
+
+def test_p26_cm_at_a_prime_near_1e30_is_fast():
+    m = 10**30 + 1
+    while not is_prime(m):
+        m += 12
+    start = time.perf_counter()
+    value = p26_cm((m - 13) // 12)
+    assert time.perf_counter() - start < 1.0
+    assert value != 0
