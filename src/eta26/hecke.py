@@ -132,8 +132,8 @@ def _require_prime(p: int) -> None:
 T = TypeVar("T", int, AlgInt3)
 
 
-def t_prime_power(t_p: T, p: int, alpha: int, chi: int) -> T:
-    """t(p^alpha) from t(p) by the two-term Hecke recursion.
+def t_prime_powers(t_p: T, p: int, alpha_max: int, chi: int) -> list[T]:
+    """[t(p^0), ..., t(p^alpha_max)] from t(p) by the two-term Hecke recursion.
 
     chi must be +1 for p = 1 mod 4 and -1 for p = 3 mod 4:
 
@@ -144,16 +144,19 @@ def t_prime_power(t_p: T, p: int, alpha: int, chi: int) -> T:
     """
     if chi != (1 if p % 4 == 1 else -1):
         raise ValueError(f"chi={chi} inconsistent with p={p} mod 4")
-    if alpha < 0:
+    if alpha_max < 0:
         raise ValueError("alpha must be >= 0")
     one: T = ALG_ONE if isinstance(t_p, AlgInt3) else 1
-    if alpha == 0:
-        return one
-    p12 = p**12
-    prev, cur = one, t_p
-    for _ in range(alpha - 1):
-        prev, cur = cur, t_p * cur - (chi * p12) * prev
-    return cur
+    step = chi * p**12
+    out = [one, t_p]
+    for _ in range(alpha_max - 1):
+        out.append(t_p * out[-1] - step * out[-2])
+    return out[: alpha_max + 1]
+
+
+def t_prime_power(t_p: T, p: int, alpha: int, chi: int) -> T:
+    """t(p^alpha), the last entry of t_prime_powers(t_p, p, alpha, chi)."""
+    return t_prime_powers(t_p, p, alpha, chi)[-1]
 
 
 @dataclass(frozen=True)

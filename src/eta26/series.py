@@ -7,6 +7,7 @@ no code and no conventions, so agreement is meaningful.
 
 from __future__ import annotations
 
+import struct
 import sys
 from dataclasses import dataclass
 from typing import IO
@@ -76,8 +77,11 @@ def jacobi_series(order: int) -> PowerSeries:
     return PowerSeries(3, order, tuple(out))
 
 
-def _check_budget(coeffs: list[int], budget_mb: int, context: str) -> None:
-    total = sys.getsizeof(coeffs) + sum(sys.getsizeof(c) for c in coeffs)
+def _table_bytes(coeffs: list[int]) -> int:
+    return sys.getsizeof(coeffs) + sum(sys.getsizeof(c) for c in coeffs)
+
+
+def _check_budget(total: int, budget_mb: int, context: str) -> None:
     if total > budget_mb * 1024 * 1024:
         raise SeriesBudgetError(
             f"{context}: coefficient table needs ~{total // (1024 * 1024) + 1} MiB, "
@@ -91,16 +95,21 @@ def eta_power_series(r: int, order: int, budget_mb: int = DEFAULT_BUDGET_MB) -> 
     Multiplies an accumulator by the sparse pentagonal series r times;
     each pass costs O(order * sqrt(order)) big-integer additions.  The
     actual size of the coefficient table is checked against budget_mb
-    after every pass and a SeriesBudgetError reports overruns.
+    after every pass and a SeriesBudgetError reports overruns; before
+    anything is allocated, the size of an all-zero table of order + 1
+    entries is checked the same way.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
+    context = f"eta_power_series(r={r}, order={order})"
+    # _table_bytes of [0] * (order + 1): one pointer and one small int per entry
+    entry = struct.calcsize("P") + sys.getsizeof(0)
+    _check_budget(sys.getsizeof([]) + (order + 1) * entry, budget_mb, context)
     pent = [(i, c) for i, c in enumerate(_pentagonal_coeffs(order)) if c]
     acc = [0] * (order + 1)
     acc[0] = 1
-    _check_budget(acc, budget_mb, f"eta_power_series(r={r}, order={order})")
     for _ in range(r):
         out = [0] * (order + 1)
         for i, c in pent:
@@ -111,7 +120,7 @@ def eta_power_series(r: int, order: int, budget_mb: int = DEFAULT_BUDGET_MB) -> 
                 for j in range(order + 1 - i):
                     out[i + j] -= acc[j]
         acc = out
-        _check_budget(acc, budget_mb, f"eta_power_series(r={r}, order={order})")
+        _check_budget(_table_bytes(acc), budget_mb, context)
     return PowerSeries(r, order, tuple(acc))
 
 

@@ -181,6 +181,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ["mt-check", "25", "0", "30"],
     ["mt-check", "49", "0", "30"],
     ["classify", "26"],
+    ["verify-props", "--prime-bound", "400", "--exp-bound", "4", "--l-bound", "2"],
 ])
 def test_golden_output_bytes(capsys, argv, fmt):
     # stdout recorded before records were rendered in one place

@@ -18,6 +18,7 @@ from eta26 import (
     two_squares,
 )
 from eta26.errors import ConsistencyError
+from eta26.hecke import t_prime_powers
 
 
 def _gauss_pow12(x, y):
@@ -123,6 +124,8 @@ def test_prime_power_rejects_mismatched_chi():
 )
 def test_recursion_matches_closed_form_split(p, t, alpha):
     assert t_prime_power(t, p, alpha, 1) == _closed_form(t, p, alpha, 1)
+    powers = t_prime_powers(t, p, alpha, 1)
+    assert powers == [_closed_form(t, p, a, 1) for a in range(alpha + 1)]
 
 
 @given(
@@ -132,6 +135,8 @@ def test_recursion_matches_closed_form_split(p, t, alpha):
 )
 def test_recursion_matches_closed_form_inert(p, t, alpha):
     assert t_prime_power(t, p, alpha, -1) == _closed_form(t, p, alpha, -1)
+    powers = t_prime_powers(t, p, alpha, -1)
+    assert powers == [_closed_form(t, p, a, -1) for a in range(alpha + 1)]
 
 
 def test_parity_of_minus_branch():

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from eta26 import hecke, p26_oracle, primes_below, t1_prime, t2_prime, t_prime_power
+from eta26 import (
+    hecke, p26_oracle, primes_below, props, t1_prime, t2_prime, t_prime_power,
+)
 from eta26.cli import main
+from eta26.hecke import AlgInt3, t_prime_powers
 from eta26.quadrep import EisRep, GaussRep
 from eta26.props import (
     report_record,
@@ -182,3 +186,76 @@ def test_verify_props_exits_2_on_flipped_sign(flip, capsys, name, wrap, witness)
     flip(name, wrap)
     assert main(["verify-props", "--prime-bound", "400", "--output", "json"]) == 2
     assert witness in capsys.readouterr().out
+
+
+VERIFIERS = (
+    verify_t2_at_5_mod_12,
+    verify_t1_at_7_mod_12,
+    verify_split_at_1_mod_12,
+    verify_periodicity,
+    verify_difference_nonvanishing,
+)
+
+
+def test_negative_bounds_raise():
+    for verify in VERIFIERS:
+        with pytest.raises(ValueError):
+            verify(100, -1)
+    for bounds in ((100, -1, 1), (100, 1, -1)):
+        with pytest.raises(ValueError):
+            run_all(*bounds)
+
+
+def test_t2_skew_at_1_mod_12_witnesses_match_golden(monkeypatch):
+    # recorded when each verifier still had its own prime loop and
+    # recursion; pins every witness and their order
+    real = hecke.t2_prime
+
+    def skewed(p):
+        return real(p) + 7 if p % 12 == 1 else real(p)
+
+    monkeypatch.setattr(props, "t2_prime", skewed)
+    monkeypatch.setattr(hecke, "t2_prime", skewed)
+    rows = []
+    for report in run_all(3000, 6, 2):
+        rows.append([report.prop_id, report.checked])
+        rows.extend([report.prop_id, *witness] for witness in report.failures)
+    golden = Path(__file__).parent / "golden" / "run_all-3000-6-2-t2-skew.jsonl"
+    assert rows == [json.loads(line) for line in golden.read_text().splitlines()]
+
+
+def _pairs(values, q):
+    return [(v.a % q, v.b % q) if isinstance(v, AlgInt3) else (v % q, 0) for v in values]
+
+
+def test_reduced_recursion_matches_exact_below_2000():
+    for p in primes_below(2000):
+        if p % 12 not in (1, 5, 7):
+            continue
+        chi = 1 if p % 4 == 1 else -1
+        for t in (t1_prime(p), t2_prime(p)):
+            exact = t_prime_powers(t, p, 30, chi)
+            for q in (5, 7):
+                assert props._residues(t, p, 30, q, chi) == _pairs(exact, q), (p, t, q)
+
+
+def test_perturbed_reduced_recursion_is_reported(monkeypatch):
+    real = props._residues
+
+    def perturbed(t_p, p, alpha_max, q, chi):
+        out = real(t_p, p, alpha_max, q, chi)
+        a, b = out[2]
+        out[2] = ((a + 1) % q, b)
+        return out
+
+    monkeypatch.setattr(props, "_residues", perturbed)
+    expected = {
+        verify_t2_at_5_mod_12: [(p, 5) for p in (5, 17, 29)],
+        verify_t1_at_7_mod_12: [(p, q) for p in (7, 19, 31) for q in (5, 7)],
+        verify_split_at_1_mod_12: [(p, q) for p in (13, 37, 61) for q in (5, 7)],
+    }
+    for verify, witnesses in expected.items():
+        report = verify(400, 4)
+        assert [(p, a, detail) for p, a, detail in report.failures if a is None] == [
+            (p, None, f"reduced mod-{q} recursion mismatch") for p, q in witnesses
+        ]

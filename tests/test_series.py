@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,18 @@ def test_input_validation():
 def test_budget_error():
     with pytest.raises(SeriesBudgetError):
         eta_power_series(26, 2_000_000, budget_mb=1)
+
+
+def test_budget_is_checked_before_allocating():
+    # the table of order + 1 entries alone would take about 40 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SeriesBudgetError):
+            eta_power_series(26, 5_000_000, budget_mb=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_csv_export():
