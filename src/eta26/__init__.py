@@ -5,7 +5,7 @@ prod(1 - q^m)^26:
 
   * hecke.p26_cm    -- exact closed form through CM eigenform
                        coefficients at 12n + 13;
-  * series.p26_oracle -- brute-force q-series expansion.
+  * series.p26_oracle -- q-series expansion by the power-series recurrence.
 
 Their agreement is the package's central invariant.  classify decides
 which vanishing/nonvanishing conditions apply to an index, props batch-

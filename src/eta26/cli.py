@@ -53,6 +53,13 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
                    help="output format (default: text)")
 
 
+def _megabytes(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_coeff(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
     if n < 0:
@@ -259,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=26, help="series exponent (default 26)")
     p.add_argument("--method", choices=("cm", "series", "both"), default=None,
                    help="cm (default for r=26), series, or both (reconcile)")
-    p.add_argument("--budget-mb", type=int, default=series.DEFAULT_BUDGET_MB)
+    p.add_argument("--budget-mb", type=_megabytes, default=series.DEFAULT_BUDGET_MB)
     _add_output_flag(p)
     p.set_defaults(func=_cmd_coeff)
 
@@ -295,7 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prime-bound", type=int, default=props.DEFAULT_PRIME_BOUND)
     p.add_argument("--exp-bound", type=int, default=props.DEFAULT_EXPONENT_BOUND)
     p.add_argument("--l-bound", type=int, default=props.DEFAULT_L_BOUND)
-    p.add_argument("--budget-mb", type=int, default=series.DEFAULT_BUDGET_MB)
+    p.add_argument("--budget-mb", type=_megabytes, default=series.DEFAULT_BUDGET_MB)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

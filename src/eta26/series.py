@@ -1,8 +1,12 @@
-"""Brute-force q-series oracle: expand prod(1 - q^m)^r to a target order.
+"""q-series oracle: expand prod(1 - q^m)^r to a target order.
 
-The expansion is exact integer arithmetic throughout.  It exists to
-cross-validate the closed-form evaluation in hecke: the two paths share
-no code and no conventions, so agreement is meaningful.
+f = g^r, with g = prod(1 - q^m) the sparse pentagonal series, follows
+from g f' = r g' f (Euler, J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7):
+n f_n = sum over k >= 1 with g_k != 0 of ((r + 1) k - n) g_k f_(n-k).
+Order N costs O(N^1.5) exact integer operations for any r, and every
+division by n is checked.  The expansion exists to cross-validate the
+closed-form evaluation in hecke: the two paths share no code and no
+conventions, so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO
 
-from .errors import SeriesBudgetError
+from .errors import ConsistencyError, SeriesBudgetError
 
 DEFAULT_BUDGET_MB = 512
 
@@ -77,10 +81,6 @@ def jacobi_series(order: int) -> PowerSeries:
     return PowerSeries(3, order, tuple(out))
 
 
-def _table_bytes(coeffs: list[int]) -> int:
-    return sys.getsizeof(coeffs) + sum(sys.getsizeof(c) for c in coeffs)
-
-
 def _check_budget(total: int, budget_mb: int, context: str) -> None:
     if total > budget_mb * 1024 * 1024:
         raise SeriesBudgetError(
@@ -92,40 +92,46 @@ def _check_budget(total: int, budget_mb: int, context: str) -> None:
 def eta_power_series(r: int, order: int, budget_mb: int = DEFAULT_BUDGET_MB) -> PowerSeries:
     """Exact coefficients of prod(1 - q^m)^r mod q^(order+1).
 
-    Multiplies an accumulator by the sparse pentagonal series r times;
-    each pass costs O(order * sqrt(order)) big-integer additions.  The
-    actual size of the coefficient table is checked against budget_mb
-    after every pass and a SeriesBudgetError reports overruns; before
-    anything is allocated, the size of an all-zero table of order + 1
-    entries is checked the same way.
+    Solves n f_n = sum_k ((r + 1) k - n) g_k f_(n-k) for f_1..f_order,
+    summing over the nonzero pentagonal coefficients g_k, k >= 1; the
+    cost is O(order * sqrt(order)) big-integer operations for any r.
+    Each division by n is checked, and a nonzero remainder raises
+    ConsistencyError.  Before anything is allocated, the size of an
+    all-zero table of order + 1 entries is checked against budget_mb;
+    a running byte count then follows the table as each coefficient is
+    stored, and SeriesBudgetError is raised as soon as it passes budget_mb.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
     context = f"eta_power_series(r={r}, order={order})"
-    # _table_bytes of [0] * (order + 1): one pointer and one small int per entry
-    entry = struct.calcsize("P") + sys.getsizeof(0)
-    _check_budget(sys.getsizeof([]) + (order + 1) * entry, budget_mb, context)
-    pent = [(i, c) for i, c in enumerate(_pentagonal_coeffs(order)) if c]
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    for _ in range(r):
-        out = [0] * (order + 1)
-        for i, c in pent:
-            if c > 0:
-                for j in range(order + 1 - i):
-                    out[i + j] += acc[j]
-            else:
-                for j in range(order + 1 - i):
-                    out[i + j] -= acc[j]
-        acc = out
-        _check_budget(_table_bytes(acc), budget_mb, context)
-    return PowerSeries(r, order, tuple(acc))
+    # [0] * (order + 1): one pointer and one small int per entry
+    zero = sys.getsizeof(0)
+    total = sys.getsizeof([]) + (order + 1) * (struct.calcsize("P") + zero)
+    _check_budget(total, budget_mb, context)
+    pent = [(k, g) for k, g in enumerate(_pentagonal_coeffs(order)) if g][1:]
+    f = [0] * (order + 1)
+    f[0] = 1
+    for n in range(1, order + 1):
+        s = 0
+        for k, g in pent:
+            if k > n:
+                break
+            s += ((r + 1) * k - n) * g * f[n - k]
+        c, rem = divmod(s, n)
+        if rem:
+            raise ConsistencyError(
+                f"{context}: inexact division at n={n}: {s} = {n} * {c} + {rem}"
+            )
+        f[n] = c
+        total += sys.getsizeof(c) - zero
+        _check_budget(total, budget_mb, context)
+    return PowerSeries(r, order, tuple(f))
 
 
 def p26_oracle(n: int, budget_mb: int = DEFAULT_BUDGET_MB) -> int:
-    """p26(n) read off the brute-force expansion of prod(1 - q^m)^26."""
+    """p26(n) read off the q-series expansion of prod(1 - q^m)^26."""
     if n < 0:
         raise ValueError("p26_oracle expects n >= 0")
     return eta_power_series(26, n, budget_mb)[n]

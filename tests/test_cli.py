@@ -129,6 +129,8 @@ def test_usage_errors_exit_1(capsys):
         ["verify-props", "--l-bound", "-1"],
         ["selftest", "--prime-bound", "3"],
         ["selftest", "--limit", "-1"],
+        ["selftest", "--budget-mb", "0"],
+        ["coeff", "5", "--budget-mb", "-1"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 1, argv
@@ -142,6 +144,16 @@ def test_budget_exhaustion_exits_1(capsys):
     )
     assert code == 1
     assert "budget" in err
+
+
+def test_growing_table_budget_exits_1(capsys):
+    code, out, err = run(
+        capsys,
+        ["coeff", "3000", "--r", "1000000", "--method", "series", "--budget-mb", "1"],
+    )
+    assert code == 1
+    assert "budget" in err
+    assert out == ""
 
 
 def test_cm_series_mismatch_exits_2(capsys, monkeypatch):
@@ -197,3 +209,10 @@ def test_golden_coeff_at_a_prime_near_1e14(capsys):
     code, out, _ = run(capsys, ["coeff", "8333333333354", "--output", "json"])
     assert code == 0
     assert out.encode() == (GOLDEN / "coeff-8333333333354.json").read_bytes()
+
+
+def test_golden_coeff_5000_both(capsys):
+    # stdout recorded when the series oracle made r sparse passes
+    code, out, _ = run(capsys, ["coeff", "5000", "--method", "both", "--output", "json"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "coeff-5000---method-both.json").read_bytes()

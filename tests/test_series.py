@@ -1,15 +1,21 @@
 import io
 import math
+import sys
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eta26.cli as cli
+import eta26.series as series
 from eta26 import (
+    ConsistencyError,
     SeriesBudgetError,
     eta_power_series,
     jacobi_series,
+    p26_cm,
     p26_oracle,
     pentagonal_series,
     write_coefficient_csv,
@@ -28,6 +34,25 @@ def _convolve(a, b, order):
             for j, bj in enumerate(b[: order + 1 - i]):
                 out[i + j] += ai * bj
     return tuple(out)
+
+
+def _sparse_product(r, order):
+    # reference: multiply by the sparse pentagonal series r times
+    pent = [(i, c) for i, c in enumerate(pentagonal_series(order).coeffs) if c]
+    acc = [0] * (order + 1)
+    acc[0] = 1
+    for _ in range(r):
+        out = [0] * (order + 1)
+        for i, c in pent:
+            for j in range(order + 1 - i):
+                out[i + j] += c * acc[j]
+        acc = out
+    return tuple(acc)
+
+
+def _table_bytes(coeffs):
+    # what a list holding these coefficients occupies, entries included
+    return sys.getsizeof(list(coeffs)) + sum(sys.getsizeof(c) for c in coeffs)
 
 
 def test_euler_prefix():
@@ -89,6 +114,40 @@ def test_low_order_coefficients(r):
     assert ser[2] == math.comb(r, 2) - r
 
 
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=300))
+@settings(max_examples=30, deadline=None)
+def test_recurrence_matches_sparse_product(r, order):
+    assert eta_power_series(r, order).coeffs == _sparse_product(r, order)
+
+
+def test_recurrence_matches_sparse_product_r26_order2000():
+    assert eta_power_series(26, 2000).coeffs == _sparse_product(26, 2000)
+
+
+def test_cm_equals_series_to_20000():
+    oracle = eta_power_series(26, 20000)
+    mismatches = [n for n in range(20001) if p26_cm(n) != oracle[n]]
+    assert mismatches == []
+
+
+def test_inexact_division_is_a_red_flag(monkeypatch, capsys):
+    # a divmod that reports a remainder at n = 40 stands in for a wrong
+    # recurrence; the exact quotient is kept, so only the check can notice
+    def skewed(a, b):
+        q, rem = divmod(a, b)
+        return q, rem + (b == 40)
+
+    monkeypatch.setattr(series, "divmod", skewed, raising=False)
+    with pytest.raises(ConsistencyError, match="n=40"):
+        eta_power_series(26, 40)
+    assert eta_power_series(26, 39)[39] == p26_cm(39)
+    capsys.readouterr()
+    assert cli.main(["coeff", "40", "--method", "series"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("red flag: ")
+    assert captured.out == ""
+
+
 def test_p26_oracle_small_values():
     assert p26_oracle(0) == 1
     assert p26_oracle(1) == -26
@@ -119,6 +178,22 @@ def test_budget_is_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024
+
+
+def test_growing_table_budget_is_checked_per_coefficient():
+    # 3001 zero entries fit in 1 MiB, so only the running count can stop
+    # the table of prod(1 - q^m)^(10^6), whose entries grow to kilobytes
+    start = time.perf_counter()
+    with pytest.raises(SeriesBudgetError, match="budget is 1 MiB"):
+        eta_power_series(10**6, 3000, budget_mb=1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_running_count_matches_table_size():
+    table = eta_power_series(10**6, 1500, budget_mb=2).coeffs
+    assert 1 < _table_bytes(table) / (1024 * 1024) < 2
+    with pytest.raises(SeriesBudgetError):
+        eta_power_series(10**6, 1500, budget_mb=1)
 
 
 def test_csv_export():
