@@ -79,7 +79,7 @@ def is_prime(m: int) -> bool:
         raise ValueError("is_prime expects m >= 0")
     if m < TRIAL_DIVISION_BOUND:
         return _SMALL_FLAGS[m] == 1
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if m % p == 0:
             return m == p
     for base in _MR_BASES:

@@ -1,6 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: parse, compute, emit.
 
-Commands: coeff, classify, scan, verify-props, mt-check, selftest.
+Commands: coeff, classify, scan, verify-props, mt-check, selftest.  Each
+argument's bounds are checked by its argparse type, before any command runs.
+
 Exit status: 0 on success, 1 on usage/resource errors, 2 on an internal
 consistency red flag (cm/series mismatch, inexact division, verifier
 failures, a violated biconditional, or an unexplained zero).
@@ -15,12 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from . import classify, props, series
-from .errors import BudgetError, ConsistencyError, Eta26Error
+from .errors import ConsistencyError, Eta26Error
 from .hecke import AlgInt3, p26_cm, t1_prime, t2_prime
 
+R = TypeVar("R")  # one report, of whichever type a command renders
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RED_FLAG = 2
@@ -40,12 +43,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(lines: Iterable[str]) -> None:
+def _emit_reports(output: str, reports: Iterable[R], record: Callable[[R], dict],
+                  csv_header: str, csv_row: Callable[[R], str],
+                  text: Callable[[R], str],
+                  summary: Callable[[], tuple[dict, str]] | None = None) -> None:
+    """Write reports to stdout as JSON lines, a CSV table or text lines.
+
+    reports is read once, in order, and may be any iterable.  summary is
+    called after the last report; it gives the JSON summary record and the
+    text summary line (CSV output has no summary).
+    """
+    to_json = json.JSONEncoder(separators=(",", ":")).encode
+    render = {"json": lambda r: to_json(record(r)), "csv": csv_row, "text": text}[output]
+    lines = [csv_header] if output == "csv" else []
+    lines.extend(map(render, reports))
+    if summary is not None and output != "csv":
+        summary_record, summary_text = summary()
+        lines.append(to_json({"summary": summary_record})
+                     if output == "json" else summary_text)
     sys.stdout.write("".join(f"{line}\n" for line in lines))
-
-
-def _jsonl(records: Iterable[dict]) -> list[str]:
-    return [json.dumps(r, separators=(",", ":")) for r in records]
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
@@ -53,19 +69,25 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
                    help="output format (default: text)")
 
 
-def _megabytes(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an int that is at least low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _add_props_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--prime-bound", type=_at_least(13), default=props.DEFAULT_PRIME_BOUND)
+    p.add_argument("--exp-bound", type=_at_least(0), default=props.DEFAULT_EXPONENT_BOUND)
+    p.add_argument("--l-bound", type=_at_least(0), default=props.DEFAULT_L_BOUND)
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
     n, r = args.n, args.r
-    if n < 0:
-        raise UsageError("n must be >= 0")
-    if r < 1:
-        raise UsageError("--r must be >= 1")
     method = args.method or ("cm" if r == 26 else "series")
     if method in ("cm", "both") and r != 26:
         raise UsageError("--method cm/both requires --r 26")
@@ -81,37 +103,18 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
         )
         return EXIT_RED_FLAG
     value = values[method if method != "both" else "cm"]
-    if args.output == "json":
-        record: dict = {"n": n, "r": r, "method": method,
-                        "coefficient": str(value)}
-        if method == "both":
-            record["cm"] = str(values["cm"])
-            record["series"] = str(values["series"])
-        _emit(_jsonl([record]))
-    elif args.output == "csv":
-        _emit(["n,r,method,coefficient", f"{n},{r},{method},{value}"])
-    else:
-        suffix = "  (cm and series agree)" if method == "both" else ""
-        _emit([f"p_{r}({n}) = {value}{suffix}"])
+    record = {"n": n, "r": r, "method": method, "coefficient": str(value)}
+    if method == "both":
+        record.update((key, str(v)) for key, v in values.items())
+    agree = "  (cm and series agree)" if method == "both" else ""
+    _emit_reports(args.output, [record], dict, "n,r,method,coefficient",
+                  lambda _: f"{n},{r},{method},{value}",
+                  lambda _: f"p_{r}({n}) = {value}{agree}")
     return EXIT_OK
 
 
-def _emit_reports(output: str, reports: list[classify.VanishingReport],
-                  text_line: Callable[[classify.VanishingReport], str],
-                  summary: dict | None, summary_text: str | None) -> None:
-    """Write reports as JSON lines, CSV rows or text lines, then any summary."""
-    if output == "json":
-        lines = _jsonl(classify.report_record(r) for r in reports)
-        if summary is not None:
-            lines += _jsonl([{"summary": summary}])
-    elif output == "csv":
-        lines = [classify.CSV_HEADER]
-        lines.extend(classify.report_csv_row(r) for r in reports)
-    else:
-        lines = [text_line(r) for r in reports]
-        if summary_text is not None:
-            lines.append(summary_text)
-    _emit(lines)
+# record, CSV header and CSV row of a classify.VanishingReport
+_VANISHING = (classify.report_record, classify.CSV_HEADER, classify.report_csv_row)
 
 
 def _classify_text(report: classify.VanishingReport) -> str:
@@ -129,10 +132,8 @@ def _classify_text(report: classify.VanishingReport) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise UsageError("n must be >= 0")
     report = classify.apply_theorems(args.n)
-    _emit_reports(args.output, [report], _classify_text, None, None)
+    _emit_reports(args.output, [report], *_VANISHING, _classify_text)
     return EXIT_OK if report.consistent else EXIT_RED_FLAG
 
 
@@ -143,15 +144,15 @@ def _scan_text(r: classify.VanishingReport) -> str:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.start < 0 or args.end < args.start:
-        raise UsageError("scan expects 0 <= start <= end")
+    if args.end < args.start:
+        raise UsageError("scan expects start <= end")
     reports, summary = classify.scan(args.start, args.end)
     unexplained = list(summary.unexplained_zeros)
-    _emit_reports(
-        args.output, reports, _scan_text, classify.summary_record(summary),
+    _emit_reports(args.output, reports, *_VANISHING, _scan_text, lambda: (
+        classify.summary_record(summary),
         f"summary: {summary.zero_count} zeros, "
         f"{summary.explained_zero_count} explained, unexplained: {unexplained}",
-    )
+    ))
     if args.output == "csv":
         sys.stderr.write(
             f"zeros: {summary.zero_count}, explained: "
@@ -167,33 +168,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _props_bounds(args: argparse.Namespace) -> tuple[int, int, int]:
-    """(prime, exponent, l) bounds for props.run_all, rejected early if unusable."""
-    if args.prime_bound < 13:
-        raise UsageError("--prime-bound must be >= 13")
-    if args.exp_bound < 0 or args.l_bound < 0:
-        raise UsageError("--exp-bound and --l-bound must be >= 0")
-    return args.prime_bound, args.exp_bound, args.l_bound
+def _props_csv(r: props.PropReport) -> str:
+    return (f"{r.prop_id},{r.prime_bound},{r.exponent_bound},{r.checked},"
+            f"{len(r.failures)}")
+
+
+def _props_text(r: props.PropReport) -> str:
+    return (f"{r.prop_id}: checked {r.checked} primes below {r.prime_bound} "
+            + ("OK" if r.ok else f"FAILURES {list(r.failures)}"))
 
 
 def _cmd_verify_props(args: argparse.Namespace) -> int:
-    reports = props.run_all(*_props_bounds(args))
-    if args.output == "json":
-        _emit(_jsonl(props.report_record(r) for r in reports))
-    elif args.output == "csv":
-        lines = ["prop_id,prime_bound,exponent_bound,checked,failures"]
-        lines.extend(
-            f"{r.prop_id},{r.prime_bound},{r.exponent_bound},{r.checked},"
-            f"{len(r.failures)}"
-            for r in reports
-        )
-        _emit(lines)
-    else:
-        _emit(
-            f"{r.prop_id}: checked {r.checked} primes below {r.prime_bound} "
-            + ("OK" if r.ok else f"FAILURES {list(r.failures)}")
-            for r in reports
-        )
+    reports = props.run_all(args.prime_bound, args.exp_bound, args.l_bound)
+    _emit_reports(args.output, reports, props.report_record,
+                  "prop_id,prime_bound,exponent_bound,checked,failures",
+                  _props_csv, _props_text)
     if any(not r.ok for r in reports):
         sys.stderr.write("red flag: verifier reported failures\n")
         return EXIT_RED_FLAG
@@ -207,17 +196,16 @@ def _mt_check_text(r: classify.VanishingReport) -> str:
 
 
 def _cmd_mt_check(args: argparse.Namespace) -> int:
-    if args.start < 0 or args.end < args.start:
-        raise UsageError("mt-check expects 0 <= start <= end")
+    if args.end < args.start:
+        raise UsageError("mt-check expects start <= end")
     reports = [classify.check_family(args.family, n)
                for n in range(args.start, args.end + 1)]
     gated = [r for r in reports if r.predicted != classify.PREDICT_NONE]
     bad = [r.profile.n for r in gated if not r.consistent]
-    _emit_reports(
-        args.output, reports, _mt_check_text,
+    _emit_reports(args.output, reports, *_VANISHING, _mt_check_text, lambda: (
         {"checked": len(reports), "gated": len(gated), "violations": bad},
         f"summary: {len(gated)}/{len(reports)} gated, {len(bad)} violations",
-    )
+    ))
     if bad:
         sys.stderr.write(f"red flag: biconditional violated at n={bad}\n")
         return EXIT_RED_FLAG
@@ -225,9 +213,6 @@ def _cmd_mt_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    bounds = _props_bounds(args)
-    if args.limit < 0:
-        raise UsageError("--limit must be >= 0")
     failures = 0
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -249,7 +234,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     mismatch = [n for n in range(args.limit + 1) if p26_cm(n) != table[n]]
     check(f"cm = series on [0, {args.limit}]", not mismatch,
           f"first mismatch at n={mismatch[0]}" if mismatch else "")
-    for rep in props.run_all(*bounds):
+    for rep in props.run_all(args.prime_bound, args.exp_bound, args.l_bound):
         check(f"props {rep.prop_id}", rep.ok, f"{len(rep.failures)} failures")
     _, summary = classify.scan(0, min(args.limit, 200))
     check("no unexplained zeros", not summary.unexplained_zeros)
@@ -262,47 +247,44 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="one coefficient, by either or both paths")
-    p.add_argument("n", type=int)
-    p.add_argument("--r", type=int, default=26, help="series exponent (default 26)")
+    p.add_argument("n", type=_at_least(0))
+    p.add_argument("--r", type=_at_least(1), default=26,
+                   help="series exponent (default 26)")
     p.add_argument("--method", choices=("cm", "series", "both"), default=None,
                    help="cm (default for r=26), series, or both (reconcile)")
-    p.add_argument("--budget-mb", type=_megabytes, default=series.DEFAULT_BUDGET_MB)
+    p.add_argument("--budget-mb", type=_at_least(1), default=series.DEFAULT_BUDGET_MB)
     _add_output_flag(p)
     p.set_defaults(func=_cmd_coeff)
 
     p = sub.add_parser("classify", help="condition profile and verdict for one n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(0))
     _add_output_flag(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("scan", help="classify a whole range and summarize zeros")
-    p.add_argument("start", type=int)
-    p.add_argument("end", type=int)
+    p.add_argument("start", type=_at_least(0))
+    p.add_argument("end", type=_at_least(0))
     _add_output_flag(p)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify-props", help="run the batch verifiers")
-    p.add_argument("--prime-bound", type=int, default=props.DEFAULT_PRIME_BOUND)
-    p.add_argument("--exp-bound", type=int, default=props.DEFAULT_EXPONENT_BOUND)
-    p.add_argument("--l-bound", type=int, default=props.DEFAULT_L_BOUND)
+    _add_props_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=_cmd_verify_props)
 
     p = sub.add_parser("mt-check",
                        help="vanishing biconditionals for 25n+1 / 49n+3")
     p.add_argument("family", type=int, choices=tuple(classify.FAMILIES))
-    p.add_argument("start", type=int)
-    p.add_argument("end", type=int)
+    p.add_argument("start", type=_at_least(0))
+    p.add_argument("end", type=_at_least(0))
     _add_output_flag(p)
     p.set_defaults(func=_cmd_mt_check)
 
     p = sub.add_parser("selftest", help="vectors, cm/series sweep, verifiers")
-    p.add_argument("--limit", type=int, default=500,
+    p.add_argument("--limit", type=_at_least(0), default=500,
                    help="cm/series reconciliation range (default 500)")
-    p.add_argument("--prime-bound", type=int, default=props.DEFAULT_PRIME_BOUND)
-    p.add_argument("--exp-bound", type=int, default=props.DEFAULT_EXPONENT_BOUND)
-    p.add_argument("--l-bound", type=int, default=props.DEFAULT_L_BOUND)
-    p.add_argument("--budget-mb", type=_megabytes, default=series.DEFAULT_BUDGET_MB)
+    _add_props_flags(p)
+    p.add_argument("--budget-mb", type=_at_least(1), default=series.DEFAULT_BUDGET_MB)
     p.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -312,17 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n{parser.format_usage()}")
-        return EXIT_USAGE
-    func: Callable[[argparse.Namespace], int] = args.func
-    try:
-        return func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n{parser.format_usage()}")
-        return EXIT_USAGE
-    except BudgetError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except ConsistencyError as exc:
         sys.stderr.write(f"red flag: {exc}\n")

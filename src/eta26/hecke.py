@@ -62,8 +62,7 @@ class AlgInt3:
             self.a * other.b + self.b * other.a,
         )
 
-    def __rmul__(self, other: int) -> "AlgInt3":
-        return AlgInt3(self.a * other, self.b * other)
+    __rmul__ = __mul__
 
     def conjugate(self) -> "AlgInt3":
         return AlgInt3(self.a, -self.b)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,11 +134,20 @@ def test_usage_errors_exit_1(capsys):
         ["selftest", "--limit", "-1"],
         ["selftest", "--budget-mb", "0"],
         ["coeff", "5", "--budget-mb", "-1"],
+        ["classify", "-1"],
+        ["scan", "-1", "3"],
+        ["mt-check", "25", "-1", "3"],
+        ["mt-check", "25", "5", "3"],
+        ["selftest", "--exp-bound", "-1"],
+        ["selftest", "--l-bound", "-1"],
+        ["coeff", "abc"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 1, argv
         assert err.startswith("error: "), argv
         assert out == "", argv
+        if argv == ["coeff", "abc"]:
+            assert "invalid int value" in err
 
 
 def test_budget_exhaustion_exits_1(capsys):
@@ -172,6 +184,18 @@ def test_props_failures_exit_2(capsys, monkeypatch):
     assert "red flag" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_props_failure_rendering(capsys, monkeypatch, fmt):
+    # stdout recorded before verify-props went through the shared emitter
+    broken = PropReport("t2-divisibility-5mod12", 10, 1, 1,
+                        ((17, 1, "synthetic failure"),))
+    monkeypatch.setattr(cli.props, "run_all", lambda *a, **k: [broken])
+    code, out, err = run(capsys, ["verify-props", "--output", fmt])
+    assert code == 2
+    assert "red flag" in err
+    assert out.encode() == (GOLDEN / f"verify-props-failure.{fmt}").read_bytes()
+
+
 def test_consistency_error_exits_2(capsys, monkeypatch):
     from eta26.errors import ConsistencyError
 
@@ -194,6 +218,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ["mt-check", "49", "0", "30"],
     ["classify", "26"],
     ["verify-props", "--prime-bound", "400", "--exp-bound", "4", "--l-bound", "2"],
+    ["coeff", "9", "--method", "both"],
 ])
 def test_golden_output_bytes(capsys, argv, fmt):
     # stdout recorded before records were rendered in one place
@@ -216,3 +241,31 @@ def test_golden_coeff_5000_both(capsys):
     code, out, _ = run(capsys, ["coeff", "5000", "--method", "both", "--output", "json"])
     assert code == 0
     assert out.encode() == (GOLDEN / "coeff-5000---method-both.json").read_bytes()
+
+
+def test_golden_selftest_bytes(capsys):
+    # the only command without --output; stdout recorded before the
+    # bounds moved into the argparse types
+    argv = ["selftest", "--limit", "60", "--prime-bound", "400",
+            "--exp-bound", "4", "--l-bound", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{'-'.join(argv)}.text").read_bytes()
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def eta26(*argv):
+        return subprocess.run([sys.executable, "-m", "eta26.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = eta26("coeff", "9", "--method", "both")
+    assert ok.returncode == 0
+    assert ok.stdout.encode() == (GOLDEN / "coeff-9---method-both.text").read_bytes()
+    bad = eta26("coeff", "-4")
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error: ")
+    assert bad.stdout == ""
