@@ -18,11 +18,14 @@ from .errors import FactoringBudgetError
 # is consulted.
 TRIAL_DIVISION_BOUND = 100_000
 
-# Miller-Rabin with the first 13 prime bases is deterministic below this
-# bound (Sorenson & Webster).  Larger inputs additionally get 64 rounds
-# with pseudo-random bases, for an error probability below 4**-64 = 2**-128.
-_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+# Miller-Rabin with the first k prime bases proves m prime below psi_k, the
+# least strong pseudoprime to all of them (OEIS A014233: Jaeschke 1993; k >= 9
+# Jiang & Deng 2014, Sorenson & Webster 2017).  Larger inputs additionally get
+# 64 rounds with pseudo-random bases, for an error probability below 2**-128.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+        *[341_550_071_728_321] * 2, *[3_825_123_056_546_413_051] * 3,
+        318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
 _EXTRA_ROUNDS = 64
 
 # Default cap on Pollard-Brent iterations across one factorize() call.
@@ -70,10 +73,10 @@ def is_prime(m: int) -> bool:
     """Primality test.
 
     Exact by sieve lookup below TRIAL_DIVISION_BOUND; deterministic
-    Miller-Rabin below 3.3e24 (the 13-base bound); beyond that the
-    answer is probabilistic with error probability below 2**-128.  The
-    extra bases are drawn from an RNG seeded by m, so the answer for a
-    given m is reproducible.
+    Miller-Rabin below 3.3e24, stopping after base k once m < psi_k of OEIS
+    A014233 (_PSI: 2 bases below 1.37e6, 5 below 2.1e12); beyond that the
+    answer is probabilistic with error probability below 2**-128.  The extra
+    bases are drawn from an RNG seeded by m, so the answer is reproducible.
     """
     if m < 0:
         raise ValueError("is_prime expects m >= 0")
@@ -82,11 +85,11 @@ def is_prime(m: int) -> bool:
     for p in _MR_BASES:
         if m % p == 0:
             return m == p
-    for base in _MR_BASES:
+    for base, psi in zip(_MR_BASES, _PSI):
         if not _miller_rabin(m, base):
             return False
-    if m < _DETERMINISTIC_LIMIT:
-        return True
+        if m < psi:
+            return True
     rng = random.Random(m)
     for _ in range(_EXTRA_ROUNDS):
         if not _miller_rabin(m, rng.randrange(2, m - 1)):

@@ -28,6 +28,7 @@ and is surfaced by scan(), never suppressed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from . import hecke
 from .arith import Factorization, factorize
@@ -212,6 +213,39 @@ class ScanSummary:
     unexplained_zeros: tuple[int, ...]
 
 
+class RangeStream:
+    """evaluate(n) for n in [start, end], in index order, counted as it is read.
+
+    Read it once; the counters then summarize it with no second pass.  The
+    index lists hold each report's profile.n.  Callers check the bounds.
+    """
+
+    def __init__(self, evaluate: Callable[[int], VanishingReport],
+                 start: int, end: int) -> None:
+        self.evaluate, self.start, self.end = evaluate, start, end
+        self.zero_count = self.explained = self.gated = 0
+        self.unexplained: list[int] = []
+        self.inconsistent: list[int] = []
+
+    def __iter__(self) -> Iterator[VanishingReport]:
+        for report in map(self.evaluate, range(self.start, self.end + 1)):
+            prof = report.profile
+            self.gated += report.predicted != PREDICT_NONE
+            if report.p26_value == 0:
+                self.zero_count += 1
+                if prof.cond_i or prof.cond_ii:
+                    self.explained += 1
+                else:
+                    self.unexplained.append(prof.n)
+            if not report.consistent:
+                self.inconsistent.append(prof.n)
+            yield report
+
+    def summary(self) -> ScanSummary:
+        return ScanSummary(self.start, self.end, self.zero_count, self.explained,
+                           tuple(self.unexplained))
+
+
 def scan(start: int, end: int) -> tuple[list[VanishingReport], ScanSummary]:
     """Classify every n in [start, end] and summarize the zeros.
 
@@ -221,19 +255,8 @@ def scan(start: int, end: int) -> tuple[list[VanishingReport], ScanSummary]:
     """
     if start < 0 or end < start:
         raise ValueError("scan expects 0 <= start <= end")
-    reports = [apply_theorems(n) for n in range(start, end + 1)]
-    zeros = [r for r in reports if r.p26_value == 0]
-    unexplained = tuple(
-        r.profile.n for r in zeros if not (r.profile.cond_i or r.profile.cond_ii)
-    )
-    summary = ScanSummary(
-        start=start,
-        end=end,
-        zero_count=len(zeros),
-        explained_zero_count=len(zeros) - len(unexplained),
-        unexplained_zeros=unexplained,
-    )
-    return reports, summary
+    stream = RangeStream(apply_theorems, start, end)
+    return list(stream), stream.summary()
 
 
 def report_record(report: VanishingReport) -> dict:

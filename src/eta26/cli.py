@@ -49,19 +49,20 @@ def _emit_reports(output: str, reports: Iterable[R], record: Callable[[R], dict]
                   summary: Callable[[], tuple[dict, str]] | None = None) -> None:
     """Write reports to stdout as JSON lines, a CSV table or text lines.
 
-    reports is read once, in order, and may be any iterable.  summary is
-    called after the last report; it gives the JSON summary record and the
-    text summary line (CSV output has no summary).
+    reports is read once, in order, from any iterable, and each record is
+    written as it is rendered.  summary is called after the last report; it
+    gives the JSON summary record and the text summary line (CSV has none).
     """
     to_json = json.JSONEncoder(separators=(",", ":")).encode
     render = {"json": lambda r: to_json(record(r)), "csv": csv_row, "text": text}[output]
-    lines = [csv_header] if output == "csv" else []
-    lines.extend(map(render, reports))
+    if output == "csv":
+        sys.stdout.write(f"{csv_header}\n")
+    for report in reports:
+        sys.stdout.write(f"{render(report)}\n")
     if summary is not None and output != "csv":
         summary_record, summary_text = summary()
-        lines.append(to_json({"summary": summary_record})
-                     if output == "json" else summary_text)
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.write(f"{to_json({'summary': summary_record})}\n"
+                         if output == "json" else f"{summary_text}\n")
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
@@ -146,23 +147,21 @@ def _scan_text(r: classify.VanishingReport) -> str:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.end < args.start:
         raise UsageError("scan expects start <= end")
-    reports, summary = classify.scan(args.start, args.end)
-    unexplained = list(summary.unexplained_zeros)
-    _emit_reports(args.output, reports, *_VANISHING, _scan_text, lambda: (
-        classify.summary_record(summary),
-        f"summary: {summary.zero_count} zeros, "
-        f"{summary.explained_zero_count} explained, unexplained: {unexplained}",
+    stream = classify.RangeStream(classify.apply_theorems, args.start, args.end)
+    _emit_reports(args.output, stream, *_VANISHING, _scan_text, lambda: (
+        classify.summary_record(stream.summary()),
+        f"summary: {stream.zero_count} zeros, "
+        f"{stream.explained} explained, unexplained: {stream.unexplained}",
     ))
     if args.output == "csv":
         sys.stderr.write(
-            f"zeros: {summary.zero_count}, explained: "
-            f"{summary.explained_zero_count}, unexplained: {unexplained}\n"
+            f"zeros: {stream.zero_count}, explained: "
+            f"{stream.explained}, unexplained: {stream.unexplained}\n"
         )
-    bad = [r for r in reports if not r.consistent]
-    if bad or unexplained:
+    if stream.inconsistent or stream.unexplained:
         sys.stderr.write(
-            f"red flag: {len(bad)} inconsistent reports, unexplained zeros "
-            f"{unexplained}\n"
+            f"red flag: {len(stream.inconsistent)} inconsistent reports, "
+            f"unexplained zeros {stream.unexplained}\n"
         )
         return EXIT_RED_FLAG
     return EXIT_OK
@@ -198,16 +197,16 @@ def _mt_check_text(r: classify.VanishingReport) -> str:
 def _cmd_mt_check(args: argparse.Namespace) -> int:
     if args.end < args.start:
         raise UsageError("mt-check expects start <= end")
-    reports = [classify.check_family(args.family, n)
-               for n in range(args.start, args.end + 1)]
-    gated = [r for r in reports if r.predicted != classify.PREDICT_NONE]
-    bad = [r.profile.n for r in gated if not r.consistent]
-    _emit_reports(args.output, reports, *_VANISHING, _mt_check_text, lambda: (
-        {"checked": len(reports), "gated": len(gated), "violations": bad},
-        f"summary: {len(gated)}/{len(reports)} gated, {len(bad)} violations",
+    stream = classify.RangeStream(lambda n: classify.check_family(args.family, n),
+                                  args.start, args.end)
+    checked = args.end - args.start + 1
+    # a report outside the gate predicts nothing and is always consistent
+    _emit_reports(args.output, stream, *_VANISHING, _mt_check_text, lambda: (
+        {"checked": checked, "gated": stream.gated, "violations": stream.inconsistent},
+        f"summary: {stream.gated}/{checked} gated, {len(stream.inconsistent)} violations",
     ))
-    if bad:
-        sys.stderr.write(f"red flag: biconditional violated at n={bad}\n")
+    if stream.inconsistent:
+        sys.stderr.write(f"red flag: biconditional violated at n={stream.inconsistent}\n")
         return EXIT_RED_FLAG
     return EXIT_OK
 

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eta26.arith as arith
 from eta26 import FactoringBudgetError, Factorization, factorize, is_prime, ord_p, primes_below
 from eta26.arith import TRIAL_DIVISION_BOUND
 
@@ -144,3 +146,92 @@ def test_is_prime_rejects_negative():
         is_prime(-7)
     assert not is_prime(0)
     assert not is_prime(1)
+
+
+# OEIS A014233, typed independently of arith._PSI: psi_k is the least odd
+# composite that is a strong pseudoprime to each of the first k prime bases.
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+
+
+def _reference_is_prime(m):
+    """Miller-Rabin on all 13 bases with no early exit, then the seeded rounds."""
+    if m < 2:
+        return False
+    for p in arith._MR_BASES:
+        if m % p == 0:
+            return m == p
+    if not all(arith._miller_rabin(m, base) for base in arith._MR_BASES):
+        return False
+    if m < A014233[-1]:
+        return True
+    rng = random.Random(m)
+    return all(arith._miller_rabin(m, rng.randrange(2, m - 1)) for _ in range(64))
+
+
+def test_psi_table_is_a014233():
+    assert arith._PSI == A014233
+    assert len(arith._PSI) == len(arith._MR_BASES)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_psi_k_is_composite_and_fools_the_first_k_bases(k):
+    # so stopping after k bases is exact below psi_k and wrong at it
+    psi = A014233[k - 1]
+    assert not sympy.isprime(psi)
+    assert not is_prime(psi)
+    assert all(arith._miller_rabin(psi, base) for base in arith._MR_BASES[:k])
+
+
+def test_is_prime_agrees_with_sieve_to_2e6():
+    flags = bytearray(2_000_000)
+    for p in primes_below(2_000_000):
+        flags[p] = 1
+    for m in range(TRIAL_DIVISION_BOUND, 2_000_000):
+        assert is_prime(m) == flags[m], m
+
+
+@given(st.integers(min_value=0, max_value=10**25))
+@settings(max_examples=300)
+def test_is_prime_matches_all_base_reference(m):
+    assert is_prime(m) == _reference_is_prime(m)
+
+
+def test_is_prime_matches_all_base_reference_near_each_psi():
+    for psi in sorted(set(A014233)):
+        for m in range(psi - 200, psi + 201):
+            assert is_prime(m) == _reference_is_prime(m), m
+
+
+def _count_miller_rabin(monkeypatch) -> list[int]:
+    bases = []
+    real = arith._miller_rabin
+
+    def counted(n, base):
+        bases.append(base)
+        return real(n, base)
+
+    monkeypatch.setattr(arith, "_miller_rabin", counted)
+    return bases
+
+
+def test_prime_below_psi_2_costs_two_bases(monkeypatch):
+    bases = _count_miller_rabin(monkeypatch)
+    assert is_prime(1_000_003)
+    assert bases == [2, 3]
+
+
+@pytest.mark.parametrize("p", [10_000_000_019, 999_999_999_989])
+def test_prime_in_large_index_band_costs_at_most_five_bases(monkeypatch, p):
+    bases = _count_miller_rabin(monkeypatch)
+    assert is_prime(p)
+    assert 1 <= len(bases) <= 5
+
+
+def test_psi_13_runs_every_base_then_the_seeded_rounds(monkeypatch):
+    bases = _count_miller_rabin(monkeypatch)
+    assert not is_prime(A014233[-1])
+    assert tuple(bases[:13]) == arith._MR_BASES
+    assert len(bases) > 13

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import eta26.classify as classify
 import eta26.cli as cli
+import eta26.hecke as hecke
+from eta26.errors import ConsistencyError
 from eta26.props import PropReport
 
 
@@ -269,3 +274,99 @@ def test_module_entry_point():
     assert bad.returncode == 1
     assert bad.stderr.startswith("error: ")
     assert bad.stdout == ""
+
+
+@pytest.mark.parametrize("argv, evaluator, last", [
+    (["scan", "0", "60"], "apply_theorems", 60),
+    (["mt-check", "25", "0", "30"], "check_family", 30),
+])
+def test_range_commands_write_records_before_the_last_index(monkeypatch, argv,
+                                                            evaluator, last):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    real = getattr(classify, evaluator)
+    seen_at_last = []
+
+    def watched(*args):
+        if args[-1] == last:
+            seen_at_last.append(out.getvalue())
+        return real(*args)
+
+    monkeypatch.setattr(classify, evaluator, watched)
+    assert cli.main(argv + ["--output", "json"]) == 0
+    assert len(seen_at_last) == 1
+    assert seen_at_last[0].startswith('{"n":')
+    assert out.getvalue().encode() == (GOLDEN / f"{'-'.join(argv)}.json").read_bytes()
+
+
+def test_scan_through_main_factors_each_index_once(monkeypatch, capsys):
+    calls = []
+    for mod in (hecke, classify):
+        real = mod.factorize
+
+        def counted(m, _real=real):
+            calls.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(mod, "factorize", counted)
+    code, out, _ = run(capsys, ["scan", "0", "50", "--output", "json"])
+    assert code == 0
+    assert len(out.splitlines()) == 52
+    assert sorted(calls) == [12 * n + 13 for n in range(51)]
+
+
+def test_scan_red_flag_mid_range_keeps_the_records_before_it(monkeypatch, capsys):
+    real = classify.apply_theorems
+
+    def faulty(n):
+        if n == 40:
+            raise ConsistencyError("synthetic inexact division at n=40")
+        return real(n)
+
+    monkeypatch.setattr(classify, "apply_theorems", faulty)
+    code, out, err = run(capsys, ["scan", "0", "60", "--output", "json"])
+    assert code == 2
+    assert err.startswith("red flag: ")
+    golden = (GOLDEN / "scan-0-60.json").read_text().splitlines(keepends=True)
+    assert out == "".join(golden[:40])
+
+
+def _spoil(monkeypatch, evaluator, at, profile=(), **changes):
+    """Make classify.<evaluator> return an altered report at index at."""
+    real = getattr(classify, evaluator)
+
+    def spoiled(*args):
+        report = real(*args)
+        if args[-1] != at:
+            return report
+        spoilt = dataclasses.replace(report.profile, **dict(profile))
+        return dataclasses.replace(report, profile=spoilt, **changes)
+
+    monkeypatch.setattr(classify, evaluator, spoiled)
+
+
+@pytest.mark.parametrize("fmt, summary_err", [
+    ("json", ""),
+    ("csv", "zeros: 2, explained: 1, unexplained: [9]\n"),
+])
+def test_scan_red_flag_stderr(monkeypatch, capsys, fmt, summary_err):
+    # n = 9 (m = 121) is a cond-II zero: hide cond II, and flag n = 20
+    _spoil(monkeypatch, "apply_theorems", 9, profile={"cond_ii": False})
+    _spoil(monkeypatch, "apply_theorems", 20, consistent=False)
+    code, out, err = run(capsys, ["scan", "0", "30", "--output", fmt])
+    assert code == 2
+    assert err == (summary_err + "red flag: 1 inconsistent reports, "
+                   "unexplained zeros [9]\n")
+    if fmt == "json":
+        assert json.loads(out.splitlines()[-1])["summary"] == {
+            "start": 0, "end": 30, "zero_count": 2,
+            "explained_zero_count": 1, "unexplained_zeros": [9]}
+
+
+def test_mt_check_violation_stderr_and_summary(monkeypatch, capsys):
+    _spoil(monkeypatch, "check_family", 3, consistent=False)
+    code, out, err = run(capsys, ["mt-check", "25", "0", "10", "--output", "json"])
+    assert code == 2
+    assert err == "red flag: biconditional violated at n=[76]\n"
+    assert json.loads(out.splitlines()[-1])["summary"] == {
+        "checked": 11, "gated": 11, "violations": [76]}
