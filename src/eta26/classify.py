@@ -38,9 +38,9 @@ PREDICT_ZERO = "zero"
 PREDICT_NONZERO = "nonzero"
 PREDICT_NONE = "no-prediction"
 
-# Arithmetic families p26(mult * n + offset): mult -> (offset, q), where
-# q is the modulus of the exponent gate on 12n + 1 (and mult = q^2).
-FAMILIES = {25: (1, 5), 49: (3, 7)}
+# Families p26(mult*n + offset): mult = q^2 -> q, the gate's modulus; with
+# offset = (mult - 13) // 12, 12(mult*n + offset) + 13 = mult * (12n + 1).
+FAMILIES = {25: 5, 49: 7}
 
 
 @dataclass(frozen=True)
@@ -82,28 +82,25 @@ def _exponent_gate(fac: Factorization, q: int) -> bool:
     return all(e % q != q - 1 for p, e in fac if p % 12 == 1)
 
 
-def _conditions(fac: Factorization) -> dict[str, bool]:
+def _profile(n: int, fac: Factorization) -> ConditionProfile:
     odd = [(p, e) for p, e in fac if e % 2 == 1]
     has_3mod4_odd = any(p % 4 == 3 for p, _ in odd)
     has_2mod3_odd = any(p % 3 == 2 for p, _ in odd)
     witness = any(p % 12 != 11 for p, _ in fac)
     even_shape = all(e % 2 == 0 for p, e in fac if p % 12 in (5, 7, 11))
-    return {
-        "cond_i": has_3mod4_odd and has_2mod3_odd,
-        "cond_ii": fac.is_square and bool(fac.factors)
+    prof = ConditionProfile(
+        n=n, m=fac.value, factorization=fac,
+        cond_i=has_3mod4_odd and has_2mod3_odd,
+        cond_ii=fac.is_square and bool(fac.factors)
         and all(p % 12 == 11 for p, _ in fac),
-        "n1": not has_3mod4_odd and witness,
-        "n2": not has_2mod3_odd and witness,
-        "prime_power": len(fac.factors) == 1 and fac.factors[0][0] % 12 != 11,
-        "odd_exp_5": not has_3mod4_odd and any(p % 12 == 5 for p, _ in odd),
-        "div_25": even_shape and fac.value % 25 == 0 and _exponent_gate(fac, 5),
-        "div_49": even_shape and fac.value % 49 == 0 and _exponent_gate(fac, 7),
-        "odd_exp_7": not has_2mod3_odd and any(p % 12 == 7 for p, _ in odd),
-    }
-
-
-def _profile(n: int, fac: Factorization) -> ConditionProfile:
-    prof = ConditionProfile(n=n, m=fac.value, factorization=fac, **_conditions(fac))
+        n1=not has_3mod4_odd and witness,
+        n2=not has_2mod3_odd and witness,
+        prime_power=len(fac.factors) == 1 and fac.factors[0][0] % 12 != 11,
+        odd_exp_5=not has_3mod4_odd and any(p % 12 == 5 for p, _ in odd),
+        div_25=even_shape and fac.value % 25 == 0 and _exponent_gate(fac, 5),
+        div_49=even_shape and fac.value % 49 == 0 and _exponent_gate(fac, 7),
+        odd_exp_7=not has_2mod3_odd and any(p % 12 == 7 for p, _ in odd),
+    )
     # logically impossible combinations; a violation means the flag
     # computation itself is broken
     if prof.cond_i and (prof.n1 or prof.n2):
@@ -169,27 +166,27 @@ def check_family(mult: int, n: int) -> VanishingReport:
     mult is a key of FAMILIES: 25 (offset 1, q = 5) or 49 (offset 3,
     q = 7).  Applicable when no prime = 1 (mod 12) divides 12n + 1 to a
     power = -1 (mod q); then p26(mult*n + offset) = 0 exactly when
-    12n + 1 satisfies cond I, i.e. has both a 3 (mod 4) and a 2 (mod 3)
-    prime with odd exponent.  Outside the gate the report carries no
-    prediction.
+    12n + 1 satisfies cond I.  Outside the gate there is no prediction.
+    The gate and cond I are read off the one factorization of
+    m = 12(mult*n + offset) + 13 = q^2 (12n + 1), so mt-check factors each
+    index once: as q != 1 (mod 12), m has the primes = 1 (mod 12) of
+    12n + 1 with the same exponents, and every exponent keeps its parity.
     """
     if mult not in FAMILIES:
         raise ValueError(f"unknown family {mult}; expected one of {list(FAMILIES)}")
     if n < 0:
         raise ValueError("check_family expects n >= 0")
-    offset, q = FAMILIES[mult]
-    base = factorize(12 * n + 1)
+    q, offset = FAMILIES[mult], (mult - 13) // 12
     prof, value = _evaluate(mult * n + offset)
-    if not _exponent_gate(base, q):
+    if not _exponent_gate(prof.factorization, q):
         return VanishingReport(
             prof, value, PREDICT_NONE, True, (f"mod-{q}-exponent-gate-failed",)
         )
-    rhs = _conditions(base)["cond_i"]
     return VanishingReport(
         prof,
         value,
-        PREDICT_ZERO if rhs else PREDICT_NONZERO,
-        (value == 0) == rhs,
+        PREDICT_ZERO if prof.cond_i else PREDICT_NONZERO,
+        (value == 0) == prof.cond_i,
         (f"iff-{mult}n-plus-{offset}",),
     )
 

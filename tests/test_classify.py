@@ -2,6 +2,8 @@ import json
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eta26.classify as classify_mod
 import eta26.hecke as hecke_mod
@@ -15,11 +17,14 @@ from eta26 import (
     profile,
     scan,
 )
+from eta26.arith import factorize
 from eta26.classify import (
     CSV_HEADER,
+    FAMILIES,
     PREDICT_NONE,
     PREDICT_NONZERO,
     PREDICT_ZERO,
+    VanishingReport,
     report_csv_row,
     report_record,
     summary_record,
@@ -144,6 +149,59 @@ def test_mt_gate_detection_uses_1_mod_12_primes_only():
     assert rep.predicted != PREDICT_NONE
 
 
+# reference: the family table with stored offsets, and the gate and cond I
+# read off a second factorization, of 12n + 1
+_REFERENCE_FAMILIES = {25: (1, 5), 49: (3, 7)}
+
+
+def _reference_check_family(mult, n):
+    offset, q = _REFERENCE_FAMILIES[mult]
+    base = factorize(12 * n + 1)
+    prof = profile(mult * n + offset)
+    value = p26_cm(mult * n + offset)
+    if any(e % q == q - 1 for p, e in base if p % 12 == 1):
+        return VanishingReport(
+            prof, value, PREDICT_NONE, True, (f"mod-{q}-exponent-gate-failed",)
+        )
+    odd = [p for p, e in base if e % 2 == 1]
+    rhs = any(p % 4 == 3 for p in odd) and any(p % 3 == 2 for p in odd)
+    return VanishingReport(
+        prof,
+        value,
+        PREDICT_ZERO if rhs else PREDICT_NONZERO,
+        (value == 0) == rhs,
+        (f"iff-{mult}n-plus-{offset}",),
+    )
+
+
+def test_families_derive_offset_from_mult():
+    for mult, q in FAMILIES.items():
+        assert mult == q * q
+        assert 12 * ((mult - 13) // 12) + 13 == mult
+        assert q % 12 != 1
+    assert set(FAMILIES) == set(_REFERENCE_FAMILIES)
+
+
+@pytest.mark.parametrize("mult", sorted(_REFERENCE_FAMILIES))
+def test_check_family_matches_reference_to_3000(mult):
+    for n in range(3001):
+        assert check_family(mult, n) == _reference_check_family(mult, n), n
+
+
+@pytest.mark.parametrize("mult", sorted(_REFERENCE_FAMILIES))
+@pytest.mark.parametrize("n", [2380, (13**6 - 1) // 12, (11**4 - 1) // 12])
+def test_check_family_matches_reference_at_gate_shapes(mult, n):
+    # 12n + 1 = 13^4, 13^6 (1 mod 12, gate exponents) and 11^4 (not 1 mod 12)
+    assert check_family(mult, n) == _reference_check_family(mult, n)
+
+
+@given(st.sampled_from(sorted(_REFERENCE_FAMILIES)),
+       st.integers(min_value=0, max_value=10**7))
+@settings(max_examples=50)
+def test_check_family_matches_reference(mult, n):
+    assert check_family(mult, n) == _reference_check_family(mult, n)
+
+
 def test_scan_single_point():
     reports, summary = scan(0, 0)
     assert len(reports) == 1
@@ -242,10 +300,11 @@ def test_scan_factors_each_index_once(monkeypatch):
     assert sorted(calls) == [12 * n + 13 for n in range(51)]
 
 
-def test_check_family_factors_twice_per_index(monkeypatch):
+def test_check_family_factors_once_per_index(monkeypatch):
+    # 12(mult*n + offset) + 13 = mult * (12n + 1) is the only number factored
     calls = _count_factorize(monkeypatch)
     for mult in (25, 49):
         calls.clear()
         for n in range(20):
             check_family(mult, n)
-        assert len(calls) == 2 * 20, mult
+        assert calls == [mult * (12 * n + 1) for n in range(20)], mult

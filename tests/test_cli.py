@@ -224,6 +224,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ["classify", "26"],
     ["verify-props", "--prime-bound", "400", "--exp-bound", "4", "--l-bound", "2"],
     ["coeff", "9", "--method", "both"],
+    # each window holds one index whose 12n + 1 (13^4, 13^6) fails the gate
+    ["mt-check", "25", "2370", "2390"],
+    ["mt-check", "49", "402225", "402245"],
 ])
 def test_golden_output_bytes(capsys, argv, fmt):
     # stdout recorded before records were rendered in one place
