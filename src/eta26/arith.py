@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import compress
 
 from .errors import FactoringBudgetError
@@ -140,13 +140,16 @@ class Factorization:
     """Complete prime factorization: value == prod(p**e for p, e in factors).
 
     Primes are strictly increasing and certified by is_prime; exponents
-    are >= 1.  factors is empty exactly when value == 1.
+    are >= 1.  factors is empty exactly when value == 1.  factorize, whose
+    primes come from the sieve or have passed is_prime already, passes
+    _certified=True so that they are not tested a second time.
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
+    _certified: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _certified: bool) -> None:
         if self.value < 1:
             raise ValueError("Factorization.value must be positive")
         prod = 1
@@ -156,7 +159,7 @@ class Factorization:
                 raise ValueError(f"exponent {e} < 1 for prime {p}")
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
-            if not is_prime(p):
+            if not (_certified or is_prime(p)):
                 raise ValueError(f"{p} is not prime")
             last = p
             prod *= p**e
@@ -211,7 +214,7 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
             continue
         d = _pollard_brent(n, budget_box)
         remaining.extend((d, n // d))
-    return Factorization(value, tuple(sorted(counts.items())))
+    return Factorization(value, tuple(sorted(counts.items())), _certified=True)
 
 
 def ord_p(m: int, p: int) -> int:

@@ -14,7 +14,7 @@ class FactoringBudgetError(BudgetError):
 
 
 class SeriesBudgetError(BudgetError):
-    """A series expansion would exceed the configured memory budget."""
+    """A series expansion would exceed its memory or term budget."""
 
 
 class ConsistencyError(Eta26Error):

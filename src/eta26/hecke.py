@@ -38,7 +38,7 @@ from .quadrep import one_three_squares, two_squares
 P26_DENOMINATOR = 32617728
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgInt3:
     """a + b*sqrt(-3) with arbitrary-precision components."""
 
@@ -139,18 +139,27 @@ def t_prime_powers(t_p: T, p: int, alpha_max: int, chi: int) -> list[T]:
         t(p^r) = t(p) * t(p^(r-1)) - chi * p^12 * t(p^(r-2)),
 
     anchored at t(p^0) = 1, t(p^1) = t(p).  Works in Z or Z[sqrt(-3)]
-    according to the type of t_p.
+    according to the type of t_p; in Z[sqrt(-3)] the recursion runs on the
+    integer pairs (a, b) and one AlgInt3 is built per entry.
     """
     if chi != (1 if p % 4 == 1 else -1):
         raise ValueError(f"chi={chi} inconsistent with p={p} mod 4")
     if alpha_max < 0:
         raise ValueError("alpha must be >= 0")
-    one: T = ALG_ONE if isinstance(t_p, AlgInt3) else 1
     step = chi * p**12
-    out = [one, t_p]
+    if not isinstance(t_p, AlgInt3):
+        out = [1, t_p]
+        for _ in range(alpha_max - 1):
+            out.append(t_p * out[-1] - step * out[-2])
+        return out[: alpha_max + 1]
+    ta, tb = t_p.a, t_p.b
+    a2, b2, a1, b1 = 1, 0, ta, tb
+    alg = [ALG_ONE, t_p]
     for _ in range(alpha_max - 1):
-        out.append(t_p * out[-1] - step * out[-2])
-    return out[: alpha_max + 1]
+        a1, b1, a2, b2 = (ta * a1 - 3 * tb * b1 - step * a2,
+                          ta * b1 + tb * a1 - step * b2, a1, b1)
+        alg.append(AlgInt3(a1, b1))
+    return alg[: alpha_max + 1]
 
 
 def t_prime_power(t_p: T, p: int, alpha: int, chi: int) -> T:

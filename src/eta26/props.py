@@ -1,25 +1,31 @@
 """Batch verification of divisibility, periodicity, and nonvanishing claims.
 
 Each verifier states its claims about one prime as a generator of
-witness tuples (prime, exponent, detail); _sweep runs it over the primes
-of the verifier's residue classes mod 12 below a configurable bound and
-returns a PropReport whose failure list must be empty on a correct
-build.  Any entry is a red-flag output carrying the full witness.
+witness tuples (prime, exponent, detail) and sweeps the primes of its
+residue classes mod 12 below a configurable bound; the result is a
+PropReport whose failure list must be empty on a correct build.  Any
+entry is a red-flag output carrying the full witness.  run_all makes one
+pass over the primes: t1(p) and t2(p) are read once per prime and handed
+to every verifier whose classes contain p, and each report keeps its own
+count, spot checks and failures in prime order.
 
 Divisibility and periodicity claims read _residues, the Hecke recursion
-reduced mod 5 or mod 7 over pairs (a, b) for a + b*sqrt(-3) (constant-size
-state), so the bounds can scale; for the first primes of every class it is
-spot-checked against the exact hecke.t_prime_powers to keep the reduced
-path honest.  At p = 5 and p = 7 (mod 12) those primes are also checked
-against the independent q-series oracle, which pins the sign conventions
-that the mod-5 / mod-7 claims cannot see.  The difference claims read one
-exact t_prime_powers sequence per form and prime.
+reduced mod 5 or mod 7 over pairs (a, b) for a + b*sqrt(-3).  Such a
+sequence depends on p only through (t(p) mod q, chi*p^12 mod q), so it is
+computed once per residue state and shared by every prime in that state;
+for the first primes of every class it is spot-checked against the exact
+hecke.t_prime_powers to keep the reduced path honest.  At p = 5 and p = 7
+(mod 12) those primes are also checked against the independent q-series
+oracle, which pins the sign conventions that the mod-5 / mod-7 claims
+cannot see.  The difference claims compare exact t_prime_powers values
+for every prime and exponent, with no reduction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import primes_below
 from .hecke import P26_DENOMINATOR, AlgInt3, t1_prime, t2_prime, t_prime_powers
@@ -40,6 +46,10 @@ _T2_ORACLE_FACTOR = -792
 _T1_ORACLE_FACTOR = 617760
 
 Witness = tuple[int, int | None, str]
+# claims(p, spot, t1(p), t2(p)) yields the witnesses of the claims that fail at p
+Claims = Callable[[int, bool, AlgInt3, int], Iterator[Witness]]
+# (prop_id, bound, residue classes mod 12, claims) of one verifier
+Entry = tuple[str, int, tuple[int, ...], Claims]
 
 
 @dataclass(frozen=True)
@@ -66,11 +76,10 @@ def _pair(v: int | AlgInt3, q: int) -> tuple[int, int]:
     return (v.a % q, v.b % q) if isinstance(v, AlgInt3) else (v % q, 0)
 
 
-def _residues(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int
-              ) -> list[tuple[int, int]]:
-    """_pair(t(p^alpha), q) for alpha = 0..alpha_max, by the recursion mod q."""
-    step = chi * pow(p, 12, q)
-    ta, tb = _pair(t_p, q)
+@lru_cache(maxsize=None)
+def _reduced(ta: int, tb: int, step: int, alpha_max: int, q: int
+             ) -> tuple[tuple[int, int], ...]:
+    """The recursion mod q from t(p) = ta + tb*sqrt(-3) and chi*p^12 = step."""
     out = [(1, 0), (ta, tb)]
     for _ in range(alpha_max - 1):
         (a1, b1), (a2, b2) = out[-1], out[-2]
@@ -78,7 +87,17 @@ def _residues(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int
             (ta * a1 - 3 * tb * b1 - step * a2) % q,
             (ta * b1 + tb * a1 - step * b2) % q,
         ))
-    return out[: alpha_max + 1]
+    return tuple(out[: alpha_max + 1])
+
+
+def _residues(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int
+              ) -> list[tuple[int, int]]:
+    """_pair(t(p^alpha), q) for alpha = 0..alpha_max, by the recursion mod q.
+
+    The sequence depends on p only through its residue state, so it is
+    computed once per state; each call gets a fresh list to edit.
+    """
+    return list(_reduced(*_pair(t_p, q), chi * pow(p, 12, q) % q, alpha_max, q))
 
 
 def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int) -> bool:
@@ -87,39 +106,40 @@ def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int) ->
     return _residues(t_p, p, alpha_max, q, chi) == [_pair(v, q) for v in exact]
 
 
-def _sweep(prop_id: str, prime_bound: int, bound: int, classes: tuple[int, ...],
-           claims: Callable[[int, bool], Iterator[Witness]]) -> PropReport:
-    """Collect claims(p, spot) over the primes below prime_bound that lie in
-    the given classes mod 12; spot is set for the first _SPOT_CHECKS of them.
-    """
+def _entry(prop_id: str, bound: int, classes: tuple[int, ...], claims: Claims) -> Entry:
     if bound < 0:
         raise ValueError(f"{prop_id}: bound must be >= 0, got {bound}")
-    failures: list[Witness] = []
-    checked = 0
-    for p in primes_below(prime_bound):
-        if p % 12 in classes:
-            failures.extend(claims(p, checked < _SPOT_CHECKS))
-            checked += 1
-    return PropReport(prop_id, prime_bound, bound, checked, tuple(failures))
+    return prop_id, bound, classes, claims
 
 
-def verify_t2_at_5_mod_12(
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-) -> PropReport:
-    """Divisibility of t2 at primes p = 5 (mod 12).
+def _sweep(prime_bound: int, entries: list[Entry]) -> list[PropReport]:
+    """One pass over the primes below prime_bound, one report per entry.
 
-    Claims checked per prime: 5 divides t2(p) except at p = 5; 5 never
-    divides t2(p^(2a)) for 1 <= a <= exponent_bound; t2(p) mod 7 lies in
-    {0, 2, 5}; and 7 | t2(p) exactly when p = 1, 2 or 4 (mod 7).  The
-    first _SPOT_CHECKS primes must also satisfy t2(p) = -792 p26(n) with
-    12n + 13 = 5p, from the series oracle.
+    t1(p) and t2(p) are read once per prime in any entry's classes and
+    handed to claims(p, spot, t1, t2) of each entry whose classes contain
+    p mod 12; spot is set for that entry's first _SPOT_CHECKS primes.
     """
+    failures: list[list[Witness]] = [[] for _ in entries]
+    checked = [0] * len(entries)
+    wanted = {c for _, _, classes, _ in entries for c in classes}
+    for p in primes_below(prime_bound):
+        r = p % 12
+        if r not in wanted:
+            continue
+        t1, t2 = t1_prime(p), t2_prime(p)
+        for i, (_, _, classes, claims) in enumerate(entries):
+            if r in classes:
+                failures[i].extend(claims(p, checked[i] < _SPOT_CHECKS, t1, t2))
+                checked[i] += 1
+    return [PropReport(prop_id, prime_bound, bound, checked[i], tuple(failures[i]))
+            for i, (prop_id, bound, _, _) in enumerate(entries)]
+
+
+def _t2_at_5_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
     if prime_bound < 5:
         raise ValueError("prime_bound must be >= 5")
 
-    def claims(p: int, spot: bool) -> Iterator[Witness]:
-        v = t2_prime(p)
+    def claims(p: int, spot: bool, t1: AlgInt3, v: int) -> Iterator[Witness]:
         if p == 5:
             if v % 5 == 0:
                 yield (p, 1, "expected 5 to not divide t2(5)")
@@ -139,26 +159,29 @@ def verify_t2_at_5_mod_12(
             if v != _T2_ORACLE_FACTOR * p26_oracle((5 * p - 13) // 12):
                 yield (p, 1, "t2(p) != -792 * p26((5p - 13)/12)")
 
-    return _sweep("t2-divisibility-5mod12", prime_bound, exponent_bound, (5,), claims)
+    return _entry("t2-divisibility-5mod12", exponent_bound, (5,), claims)
 
 
-def verify_t1_at_7_mod_12(
+def verify_t2_at_5_mod_12(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     exponent_bound: int = DEFAULT_EXPONENT_BOUND,
 ) -> PropReport:
-    """Divisibility of t1 at primes p = 7 (mod 12).
+    """Divisibility of t2 at primes p = 5 (mod 12).
 
-    t1(p) = h * sqrt(-3); checks 5 | h always, 7 | h exactly when
-    p != 7, and that neither 5 nor 7 divides t1(p^(2a)) for
-    1 <= a <= exponent_bound.  The first _SPOT_CHECKS primes must also
-    satisfy 617760 h = 32617728 p26(n) with 12n + 13 = 7p, from the
-    series oracle.
+    Claims checked per prime: 5 divides t2(p) except at p = 5; 5 never
+    divides t2(p^(2a)) for 1 <= a <= exponent_bound; t2(p) mod 7 lies in
+    {0, 2, 5}; and 7 | t2(p) exactly when p = 1, 2 or 4 (mod 7).  The
+    first _SPOT_CHECKS primes must also satisfy t2(p) = -792 p26(n) with
+    12n + 13 = 5p, from the series oracle.
     """
+    return _sweep(prime_bound, [_t2_at_5_mod_12(prime_bound, exponent_bound)])[0]
+
+
+def _t1_at_7_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
     if prime_bound < 7:
         raise ValueError("prime_bound must be >= 7")
 
-    def claims(p: int, spot: bool) -> Iterator[Witness]:
-        t = t1_prime(p)
+    def claims(p: int, spot: bool, t: AlgInt3, t2: int) -> Iterator[Witness]:
         if t.a != 0:
             yield (p, 1, "t1(p) should be a pure sqrt(-3) multiple")
         if spot:
@@ -181,27 +204,29 @@ def verify_t1_at_7_mod_12(
                 if ra == 0:
                     yield (p, 2 * a, f"expected {q} to not divide t1(p^(2a))")
 
-    return _sweep("t1-divisibility-7mod12", prime_bound, exponent_bound, (7,), claims)
+    return _entry("t1-divisibility-7mod12", exponent_bound, (7,), claims)
 
 
-def verify_split_at_1_mod_12(
+def verify_t1_at_7_mod_12(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     exponent_bound: int = DEFAULT_EXPONENT_BOUND,
 ) -> PropReport:
-    """Residue membership and exponent criteria at primes p = 1 (mod 12).
+    """Divisibility of t1 at primes p = 7 (mod 12).
 
-    Checks t2(p) mod 5 in {2, 3}, t2(p) mod 7 in {0, 2, 5}, t1(p) mod 7
-    in {2, 5}, t1(p) mod 5 in {2, 3}, and the two exponent criteria:
-    5 divides t2(p^a) exactly when a = 4 (mod 5), and 7 divides t1(p^a)
-    exactly when a = 6 (mod 7).  exponent_bound >= 14 crosses both
-    periods at least twice.
+    t1(p) = h * sqrt(-3); checks 5 | h always, 7 | h exactly when
+    p != 7, and that neither 5 nor 7 divides t1(p^(2a)) for
+    1 <= a <= exponent_bound.  The first _SPOT_CHECKS primes must also
+    satisfy 617760 h = 32617728 p26(n) with 12n + 13 = 7p, from the
+    series oracle.
     """
+    return _sweep(prime_bound, [_t1_at_7_mod_12(prime_bound, exponent_bound)])[0]
+
+
+def _split_at_1_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
     if prime_bound < 13:
         raise ValueError("prime_bound must be >= 13")
 
-    def claims(p: int, spot: bool) -> Iterator[Witness]:
-        v2 = t2_prime(p)
-        v1 = t1_prime(p)
+    def claims(p: int, spot: bool, v1: AlgInt3, v2: int) -> Iterator[Witness]:
         if v1.b != 0:
             yield (p, 1, "t1(p) should be rational at p = 1 (mod 12)")
         if v2 % 5 not in (2, 3):
@@ -225,24 +250,28 @@ def verify_split_at_1_mod_12(
             if not _spot_check(v1.a, p, min(6, exponent_bound), 7, 1):
                 yield (p, None, "reduced mod-7 recursion mismatch")
 
-    return _sweep("divisibility-1mod12", prime_bound, exponent_bound, (1,), claims)
+    return _entry("divisibility-1mod12", exponent_bound, (1,), claims)
 
 
-def verify_periodicity(
+def verify_split_at_1_mod_12(
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    l_bound: int = DEFAULT_L_BOUND,
+    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
 ) -> PropReport:
-    """Period-5 / period-7 congruences of prime powers at p = 1 (mod 12).
+    """Residue membership and exponent criteria at primes p = 1 (mod 12).
 
-    With s = +1 when t2(p) = 2 (mod 5) and s = -1 when t2(p) = 3 (mod 5):
-    t2(p^(5l+k)) = s * t2(p^(5(l-1)+k)) (mod 5) for l in 1..l_bound and
-    offsets k in 0..5.  Analogously mod 7 for t1, with s = +1 when
-    t1(p) = 2 (mod 7) and s = -1 when t1(p) = 5 (mod 7).
+    Checks t2(p) mod 5 in {2, 3}, t2(p) mod 7 in {0, 2, 5}, t1(p) mod 7
+    in {2, 5}, t1(p) mod 5 in {2, 3}, and the two exponent criteria:
+    5 divides t2(p^a) exactly when a = 4 (mod 5), and 7 divides t1(p^a)
+    exactly when a = 6 (mod 7).  exponent_bound >= 14 crosses both
+    periods at least twice.
     """
+    return _sweep(prime_bound, [_split_at_1_mod_12(prime_bound, exponent_bound)])[0]
 
-    def claims(p: int, spot: bool) -> Iterator[Witness]:
-        v2 = t2_prime(p) % 5
-        v1 = t1_prime(p).a % 7
+
+def _periodicity(l_bound: int) -> Entry:
+    def claims(p: int, spot: bool, t1: AlgInt3, t2: int) -> Iterator[Witness]:
+        v2 = t2 % 5
+        v1 = t1.a % 7
         if v2 not in (2, 3):
             yield (p, 1, f"t2(p) mod 5 = {v2}, no periodicity branch")
             return
@@ -261,27 +290,28 @@ def verify_periodicity(
                 if res7[7 * l + k] != (s7 * res7[7 * (l - 1) + k]) % 7:
                     yield (p, 7 * l + k, "mod-7 periodicity violated")
 
-    return _sweep("periodicity-1mod12", prime_bound, l_bound, (1,), claims)
+    return _entry("periodicity-1mod12", l_bound, (1,), claims)
 
 
-def verify_difference_nonvanishing(
+def verify_periodicity(
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
+    l_bound: int = DEFAULT_L_BOUND,
 ) -> PropReport:
-    """Nonvanishing of t1(p^a) - t2(p^a) in full precision.
+    """Period-5 / period-7 congruences of prime powers at p = 1 (mod 12).
 
-    For p = 1 (mod 12): the difference is nonzero for all 1 <= a <=
-    exponent_bound; additionally t1(p) = 2a0 and t2(p) = 2b0 with a0, b0
-    odd, and t1(p^2) - t2(p^2) = 4(a0^2 - b0^2) exactly.  For p = 5 and
-    p = 7 (mod 12) the difference is checked at even exponents, where
-    both values are rational integers.
+    With s = +1 when t2(p) = 2 (mod 5) and s = -1 when t2(p) = 3 (mod 5):
+    t2(p^(5l+k)) = s * t2(p^(5(l-1)+k)) (mod 5) for l in 1..l_bound and
+    offsets k in 0..5.  Analogously mod 7 for t1, with s = +1 when
+    t1(p) = 2 (mod 7) and s = -1 when t1(p) = 5 (mod 7).
     """
+    return _sweep(prime_bound, [_periodicity(l_bound)])[0]
 
-    def claims(p: int, spot: bool) -> Iterator[Witness]:
+
+def _difference_nonvanishing(exponent_bound: int) -> Entry:
+    def claims(p: int, spot: bool, t1: AlgInt3, t2: int) -> Iterator[Witness]:
         chi = 1 if p % 4 == 1 else -1
         if p % 12 == 1:
-            v1 = t1_prime(p).a
-            v2 = t2_prime(p)
+            v1, v2 = t1.a, t2
             if v1 % 2 != 0 or (v1 // 2) % 2 != 1:
                 yield (p, 1, "t1(p) is not twice an odd integer")
             if v2 % 2 != 0 or (v2 // 2) % 2 != 1:
@@ -296,12 +326,12 @@ def verify_difference_nonvanishing(
                     yield (p, a, "t1(p^a) = t2(p^a)")
         elif p % 12 == 5:
             t1s = t_prime_powers(0, p, exponent_bound, chi)
-            t2s = t_prime_powers(t2_prime(p), p, exponent_bound, chi)
+            t2s = t_prime_powers(t2, p, exponent_bound, chi)
             for a in range(2, exponent_bound + 1, 2):
                 if t1s[a] == t2s[a]:
                     yield (p, a, "t1(p^a) = t2(p^a)")
         else:  # p = 7 (mod 12)
-            t1s = t_prime_powers(t1_prime(p), p, exponent_bound, chi)
+            t1s = t_prime_powers(t1, p, exponent_bound, chi)
             t2s = t_prime_powers(0, p, exponent_bound, chi)
             for a in range(2, exponent_bound + 1, 2):
                 if t1s[a].b != 0:
@@ -309,8 +339,22 @@ def verify_difference_nonvanishing(
                 if t1s[a].a == t2s[a]:
                     yield (p, a, "t1(p^a) = t2(p^a)")
 
-    return _sweep("t1-t2-difference-nonvanishing", prime_bound, exponent_bound,
-                  (1, 5, 7), claims)
+    return _entry("t1-t2-difference-nonvanishing", exponent_bound, (1, 5, 7), claims)
+
+
+def verify_difference_nonvanishing(
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
+) -> PropReport:
+    """Nonvanishing of t1(p^a) - t2(p^a) in full precision.
+
+    For p = 1 (mod 12): the difference is nonzero for all 1 <= a <=
+    exponent_bound; additionally t1(p) = 2a0 and t2(p) = 2b0 with a0, b0
+    odd, and t1(p^2) - t2(p^2) = 4(a0^2 - b0^2) exactly.  For p = 5 and
+    p = 7 (mod 12) the difference is checked at even exponents, where
+    both values are rational integers.
+    """
+    return _sweep(prime_bound, [_difference_nonvanishing(exponent_bound)])[0]
 
 
 def run_all(
@@ -319,13 +363,13 @@ def run_all(
     l_bound: int = DEFAULT_L_BOUND,
 ) -> list[PropReport]:
     """Run every verifier at the given bounds, in a fixed order."""
-    return [
-        verify_t2_at_5_mod_12(prime_bound, exponent_bound),
-        verify_t1_at_7_mod_12(prime_bound, exponent_bound),
-        verify_split_at_1_mod_12(prime_bound, exponent_bound),
-        verify_periodicity(prime_bound, l_bound),
-        verify_difference_nonvanishing(prime_bound, exponent_bound),
-    ]
+    return _sweep(prime_bound, [
+        _t2_at_5_mod_12(prime_bound, exponent_bound),
+        _t1_at_7_mod_12(prime_bound, exponent_bound),
+        _split_at_1_mod_12(prime_bound, exponent_bound),
+        _periodicity(l_bound),
+        _difference_nonvanishing(exponent_bound),
+    ])
 
 
 def report_record(report: PropReport) -> dict:

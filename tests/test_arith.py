@@ -235,3 +235,30 @@ def test_psi_13_runs_every_base_then_the_seeded_rounds(monkeypatch):
     assert not is_prime(A014233[-1])
     assert tuple(bases[:13]) == arith._MR_BASES
     assert len(bases) > 13
+
+
+def test_hand_built_factorization_still_certifies_its_primes():
+    with pytest.raises(ValueError, match="15 is not prime"):
+        Factorization(15, ((15, 1),))
+
+
+@pytest.mark.parametrize("m, tested", [
+    (96, [3]),  # 2^5 * 3: trial division leaves the cofactor 3
+    (2**40, []),
+    (1_000_003, [1_000_003]),
+    (8 * 1_000_003 * 1_000_033,
+     [1_000_003 * 1_000_033, 1_000_003, 1_000_033]),
+    (1_000_003**2 * 7, [1_000_003**2, 1_000_003, 1_000_003]),
+])
+def test_factorize_tests_only_the_cofactors_it_meets(monkeypatch, m, tested):
+    calls = []
+    real = arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    fac = factorize(m)
+    assert sorted(calls) == sorted(tested)
+    assert math.prod(p**e for p, e in fac) == m

@@ -373,3 +373,11 @@ def test_mt_check_violation_stderr_and_summary(monkeypatch, capsys):
     assert err == "red flag: biconditional violated at n=[76]\n"
     assert json.loads(out.splitlines()[-1])["summary"] == {
         "checked": 11, "gated": 11, "violations": [76]}
+
+
+def test_series_term_budget_exits_1_with_golden_stderr(capsys):
+    argv = ["coeff", "1000000", "--method", "series"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.encode() == (GOLDEN / f"{'-'.join(argv)}.stderr").read_bytes()

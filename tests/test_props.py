@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eta26 import (
     hecke, p26_oracle, primes_below, props, t1_prime, t2_prime, t_prime_power,
@@ -206,9 +208,7 @@ def test_negative_bounds_raise():
             run_all(*bounds)
 
 
-def test_t2_skew_at_1_mod_12_witnesses_match_golden(monkeypatch):
-    # recorded when each verifier still had its own prime loop and
-    # recursion; pins every witness and their order
+def _skew_t2_at_1_mod_12(monkeypatch):
     real = hecke.t2_prime
 
     def skewed(p):
@@ -216,6 +216,12 @@ def test_t2_skew_at_1_mod_12_witnesses_match_golden(monkeypatch):
 
     monkeypatch.setattr(props, "t2_prime", skewed)
     monkeypatch.setattr(hecke, "t2_prime", skewed)
+
+
+def test_t2_skew_at_1_mod_12_witnesses_match_golden(monkeypatch):
+    # recorded when each verifier still had its own prime loop and
+    # recursion; pins every witness and their order
+    _skew_t2_at_1_mod_12(monkeypatch)
     rows = []
     for report in run_all(3000, 6, 2):
         rows.append([report.prop_id, report.checked])
@@ -259,3 +265,101 @@ def test_perturbed_reduced_recursion_is_reported(monkeypatch):
         assert [(p, a, detail) for p, a, detail in report.failures if a is None] == [
             (p, None, f"reduced mod-{q} recursion mismatch") for p, q in witnesses
         ]
+
+
+def _reference_reduced(t, p, length, q, chi):
+    # the Hecke recursion mod q on pairs, kept apart from props
+    ta, tb = (t.a, t.b) if isinstance(t, AlgInt3) else (t, 0)
+    step = chi * p**12
+    out = [(1 % q, 0), (ta % q, tb % q)]
+    for _ in range(length - 1):
+        (a1, b1), (a2, b2) = out[-1], out[-2]
+        out.append(((ta * a1 - 3 * tb * b1 - step * a2) % q,
+                    (ta * b1 + tb * a1 - step * b2) % q))
+    return out[: length + 1]
+
+
+def test_shared_reduced_sequences_match_a_reference_below_2000():
+    for p in primes_below(2000):
+        if p % 12 not in (1, 5, 7):
+            continue
+        chi = 1 if p % 4 == 1 else -1
+        for t in (t1_prime(p), t2_prime(p)):
+            for q in (5, 7):
+                for length in range(31):
+                    assert props._residues(t, p, length, q, chi) == _reference_reduced(
+                        t, p, length, q, chi), (p, t, q, length)
+
+
+def test_reduced_memo_holds_one_sequence_per_residue_state():
+    props._reduced.cache_clear()
+    run_all(100000, 14, 3)
+    info = props._reduced.cache_info()
+    lengths = {2 * 14, 14, 5 * 3 + 5, 7 * 3 + 7, 6}
+    assert info.currsize <= 2 * (5**2 + 7**2) * len(lengths)
+    assert info.hits > 100 * info.currsize
+
+
+def test_editing_a_returned_sequence_leaves_the_memo_intact():
+    t = t2_prime(13)
+    first = props._residues(t, 13, 10, 5, 1)
+    expected = list(first)
+    first[2] = ((first[2][0] + 1) % 5, first[2][1])
+    first.append((9, 9))
+    assert props._residues(t, 13, 10, 5, 1) == expected
+
+
+def _object_recursion(t_p, p, alpha_max, chi):
+    # the recursion on AlgInt3 objects, kept apart from hecke
+    out = [AlgInt3(1, 0), t_p]
+    for _ in range(alpha_max - 1):
+        out.append(t_p * out[-1] - (chi * p**12) * out[-2])
+    return out[: alpha_max + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
+       st.sampled_from([p for p in primes_below(5000) if p > 2]),
+       st.integers(0, 30))
+def test_pair_recursion_matches_the_object_recursion(a, b, p, alpha):
+    chi = 1 if p % 4 == 1 else -1
+    got = t_prime_powers(AlgInt3(a, b), p, alpha, chi)
+    assert got == _object_recursion(AlgInt3(a, b), p, alpha, chi)
+    assert all(type(v) is AlgInt3 for v in got)
+
+
+@pytest.mark.parametrize("fault", ["none", "flip-y", "flip-w", "skew-t2"])
+@pytest.mark.parametrize("bounds", [(400, 4, 2), (3000, 30, 9), (10000, 14, 3)])
+def test_one_pass_equals_the_separate_verifiers(flip, monkeypatch, fault, bounds):
+    if fault == "flip-y":
+        flip("two_squares", _flip_y_at_5_mod_12)
+    elif fault == "flip-w":
+        flip("one_three_squares", _flip_w_at_7_mod_12)
+    elif fault == "skew-t2":
+        _skew_t2_at_1_mod_12(monkeypatch)
+    prime_bound, exponent_bound, l_bound = bounds
+    separate = [
+        verify_t2_at_5_mod_12(prime_bound, exponent_bound),
+        verify_t1_at_7_mod_12(prime_bound, exponent_bound),
+        verify_split_at_1_mod_12(prime_bound, exponent_bound),
+        verify_periodicity(prime_bound, l_bound),
+        verify_difference_nonvanishing(prime_bound, exponent_bound),
+    ]
+    reports = run_all(*bounds)
+    assert reports == separate
+    assert (fault == "none") == all(r.ok for r in reports)
+
+
+def test_one_pass_reads_each_prime_value_once(monkeypatch):
+    calls = {"t1": [], "t2": []}
+    for name, key in (("t1_prime", "t1"), ("t2_prime", "t2")):
+        real = getattr(props, name)
+
+        def counted(p, _real=real, _key=key):
+            calls[_key].append(p)
+            return _real(p)
+
+        monkeypatch.setattr(props, name, counted)
+    run_all(3000, 6, 2)
+    expected = [p for p in primes_below(3000) if p % 12 in (1, 5, 7)]
+    assert calls == {"t1": expected, "t2": expected}

@@ -213,3 +213,45 @@ def test_power_series_shape_validation():
         PowerSeries(1, 2, (1, -1))
     ser = PowerSeries(1, 1, (1, -1))
     assert len(ser) == 2
+
+
+def test_term_count_matches_the_loop_for_orders_to_2000(monkeypatch):
+    # every summed term multiplies by one pentagonal coefficient g_k, and
+    # the loop divides once per n, so counting both in one expansion to
+    # order 2000 gives the loop's term count for every smaller order
+    terms = [0]
+    at_order = [0]
+
+    class CountingCoeff(int):
+        def __rmul__(self, other):
+            terms[0] += 1
+            return other * int(self)
+
+    real_pent = series._pentagonal_coeffs
+
+    def counting_pent(order):
+        return [CountingCoeff(g) if g else 0 for g in real_pent(order)]
+
+    def counting_divmod(a, b):
+        at_order.append(terms[0])
+        return divmod(a, b)
+
+    monkeypatch.setattr(series, "_pentagonal_coeffs", counting_pent)
+    monkeypatch.setattr(series, "divmod", counting_divmod, raising=False)
+    eta_power_series(26, 2000)
+    assert len(at_order) == 2001
+    assert [series._recurrence_terms(order) for order in range(2001)] == at_order
+
+
+def test_term_budget_is_checked_before_the_loop():
+    order = 1_000_000
+    assert series._recurrence_terms(order) > series.TERM_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(SeriesBudgetError, match=f"budget is {series.TERM_BUDGET} terms"):
+        eta_power_series(26, order)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_term_budget_admits_the_cm_sweep_to_20000():
+    # a fiftyfold margin; selftest --limit 6050 needs fewer terms still
+    assert series._recurrence_terms(20000) * 50 < series.TERM_BUDGET
