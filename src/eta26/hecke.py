@@ -19,19 +19,18 @@ Prime values by residue class of p (mod 12):
         comes from the representation's sign_plus bit, and the + and -
         branches coincide.
 
-All functions are pure; prime-level values are memoized behind a
-thread-safe cache.
+All functions are pure.  Prime values come from one core, _prime_values, on
+primes already certified; it caches only primes below TRIAL_DIVISION_BOUND.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TypeVar
 
-from .arith import Factorization, factorize, is_prime
+from .arith import TRIAL_DIVISION_BOUND, Factorization, factorize, is_prime
 from .errors import ConsistencyError
-from .quadrep import one_three_squares, two_squares
+from .quadrep import _eis_rep, _gauss_rep
 
 # 2^8 * 3^4 * 11^2 * 13; the combination below is always exactly
 # divisible by it.
@@ -75,9 +74,6 @@ class AlgInt3:
         return self.b == 0
 
 
-ALG_ZERO = AlgInt3(0, 0)
-ALG_ONE = AlgInt3(1, 0)
-
 # Even part of (x+iy)^12 + conj: 2 * sum _GAUSS_EVEN[k] x^(12-2k) y^(2k)
 _GAUSS_EVEN = (1, -66, 495, -924, 495, -66, 1)
 # Odd form -i(x+iy)^12 + i(x-iy)^12 = 2 * sum _GAUSS_ODD[k] x^(11-2k) y^(2k+1)
@@ -89,38 +85,51 @@ _EIS_ODD = (-24, 1320, -14256, 42768, -35640, 5832)
 
 
 def _poly_eval(coeffs: tuple[int, ...], u: int, v: int, odd: bool) -> int:
-    """sum coeffs[k] * u^(deg-2k) * v^(2k+1 if odd else 2k), deg = 11 or 12."""
-    top = len(coeffs) - 1
-    acc = 0
-    for k, c in enumerate(coeffs):
-        acc += c * u ** (2 * (top - k) + (1 if odd else 0)) * v ** (2 * k)
-    return acc * v if odd else acc
+    """sum coeffs[k] * u^(deg-2k) * v^(2k+1 if odd else 2k), deg = 11 or 12, by Horner."""
+    uu, vv = u * u, v * v
+    acc, vk = coeffs[0], 1
+    for c in coeffs[1:]:
+        vk *= vv
+        acc = acc * uu + c * vk
+    return acc * u * v if odd else acc
 
 
-@lru_cache(maxsize=None)
+_SMALL_VALUES: dict[int, tuple[int, int, int]] = {}
+
+
+def _prime_values(p: int) -> tuple[int, int, int]:
+    """(a, b, t2(p)) with t1(p) = a + b*sqrt(-3) at a prime p >= 5 the caller vouches for."""
+    if p in _SMALL_VALUES:
+        return _SMALL_VALUES[p]
+    r = p % 12
+    if r == 11:
+        values = (0, 0, 0)
+    elif r == 5:
+        g = _gauss_rep(p)
+        values = (0, 0, 2 * _poly_eval(_GAUSS_ODD, g.x, g.y, odd=True))
+    elif r == 7:
+        e = _eis_rep(p)
+        values = (0, _poly_eval(_EIS_ODD, e.z, e.w, odd=True), 0)
+    else:
+        g, e = _gauss_rep(p), _eis_rep(p)
+        t1 = _poly_eval(_EIS_EVEN, e.z, e.w, odd=False)
+        t2 = 2 * _poly_eval(_GAUSS_EVEN, g.x, g.y, odd=False)
+        values = (t1 if e.sign_plus else -t1, 0, t2 if g.sign_plus else -t2)
+    if p < TRIAL_DIVISION_BOUND:
+        _SMALL_VALUES[p] = values
+    return values
+
+
 def t2_prime(p: int) -> int:
     """t2(p) at a prime p >= 5 (the + branch; the - branch is +/- it)."""
     _require_prime(p)
-    if p % 4 == 3:
-        return 0
-    rep = two_squares(p)
-    if p % 12 == 5:
-        return 2 * _poly_eval(_GAUSS_ODD, rep.x, rep.y, odd=True)
-    value = 2 * _poly_eval(_GAUSS_EVEN, rep.x, rep.y, odd=False)
-    return value if rep.sign_plus else -value
+    return _prime_values(p)[2]
 
 
-@lru_cache(maxsize=None)
 def t1_prime(p: int) -> AlgInt3:
     """t1(p) at a prime p >= 5, as an element of Z[sqrt(-3)]."""
     _require_prime(p)
-    if p % 3 == 2:
-        return ALG_ZERO
-    rep = one_three_squares(p)
-    if p % 12 == 7:
-        return AlgInt3(0, _poly_eval(_EIS_ODD, rep.z, rep.w, odd=True))
-    value = _poly_eval(_EIS_EVEN, rep.z, rep.w, odd=False)
-    return AlgInt3(value if rep.sign_plus else -value, 0)
+    return AlgInt3(*_prime_values(p)[:2])
 
 
 def _require_prime(p: int) -> None:
@@ -154,7 +163,7 @@ def t_prime_powers(t_p: T, p: int, alpha_max: int, chi: int) -> list[T]:
         return out[: alpha_max + 1]
     ta, tb = t_p.a, t_p.b
     a2, b2, a1, b1 = 1, 0, ta, tb
-    alg = [ALG_ONE, t_p]
+    alg = [AlgInt3(1, 0), t_p]
     for _ in range(alpha_max - 1):
         a1, b1, a2, b2 = (ta * a1 - 3 * tb * b1 - step * a2,
                           ta * b1 + tb * a1 - step * b2, a1, b1)
@@ -200,21 +209,21 @@ def coeff_bundle(m: int) -> CoeffBundle:
     if m % 12 != 1 or m < 13:
         raise ValueError(f"coeff_bundle expects m = 1 mod 12, m >= 13, got {m}")
     fac = factorize(m)
-    t1p = ALG_ONE
-    t2p = 1
-    odd_7 = 0
-    odd_5 = 0
+    a, b, t2p = 1, 0, 1
+    flip_1 = flip_2 = False
     for p, alpha in fac:
-        chi = 1 if p % 4 == 1 else -1
-        t1p = t1p * t_prime_power(t1_prime(p), p, alpha, chi)
-        t2p = t2p * t_prime_power(t2_prime(p), p, alpha, chi)
-        if alpha % 2 == 1:
-            if p % 12 == 7:
-                odd_7 += 1
-            elif p % 12 == 5:
-                odd_5 += 1
-    t1m = t1p if odd_7 % 2 == 0 else -t1p
-    t2m = t2p if odd_5 % 2 == 0 else -t2p
+        ta, tb, t2 = _prime_values(p)
+        if alpha > 1:
+            chi = 1 if p % 4 == 1 else -1
+            t1 = t_prime_power(AlgInt3(ta, tb), p, alpha, chi)
+            ta, tb, t2 = t1.a, t1.b, t_prime_power(t2, p, alpha, chi)
+        a, b = a * ta - 3 * b * tb, a * tb + b * ta
+        t2p *= t2
+        flip_1 ^= alpha % 2 == 1 and p % 12 == 7
+        flip_2 ^= alpha % 2 == 1 and p % 12 == 5
+    t1p = AlgInt3(a, b)
+    t1m = -t1p if flip_1 else t1p
+    t2m = -t2p if flip_2 else t2p
     check = t1p + t1m - AlgInt3(t2p + t2m, 0)
     if check.b != 0:
         raise ConsistencyError(f"t1p + t1m not rational at m={m}: {t1p} + {t1m}")

@@ -23,6 +23,9 @@ p = z^2 + 3w^2  (exists iff p = 1 mod 3):
 For p = 1 mod 12 the two sign_plus bits always agree; hecke relies on
 that correlation, and the test suite sweeps it.
 
+The guards two_squares / one_three_squares certify p, then call the trusted
+_gauss_rep / _eis_rep, which run no primality test.
+
 Algorithm: Cornacchia (1908; Cohen, A Course in Computational Algebraic
 Number Theory, Alg. 1.5.2).  Tonelli-Shanks gives r = sqrt(-d) mod p,
 the Euclidean algorithm on (p, r) stops at the first remainder b <=
@@ -123,6 +126,10 @@ def two_squares(p: int) -> GaussRep:
     """Normalized representation p = x^2 + y^2 for a prime p = 1 mod 4."""
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"two_squares expects a prime = 1 mod 4, got {p}")
+    return _gauss_rep(p)
+
+
+def _gauss_rep(p: int) -> GaussRep:
     x, y = _cornacchia(1, p)
     if p % 12 == 5:
         if x % 3 != 1:
@@ -144,6 +151,10 @@ def one_three_squares(p: int) -> EisRep:
     """Normalized representation p = z^2 + 3w^2 for a prime p = 1 mod 3."""
     if p % 3 != 1 or not is_prime(p):
         raise ValueError(f"one_three_squares expects a prime = 1 mod 3, got {p}")
+    return _eis_rep(p)
+
+
+def _eis_rep(p: int) -> EisRep:
     z, w = _cornacchia(3, p)
     if z % 3 != 1:
         z = -z

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import eta26.arith as arith
 import eta26.classify as classify
 import eta26.cli as cli
 import eta26.hecke as hecke
+import eta26.quadrep as quadrep
 from eta26.errors import ConsistencyError
 from eta26.props import PropReport
 
@@ -316,6 +318,25 @@ def test_scan_through_main_factors_each_index_once(monkeypatch, capsys):
     assert code == 0
     assert len(out.splitlines()) == 52
     assert sorted(calls) == [12 * n + 13 for n in range(51)]
+
+
+def test_scan_through_main_certifies_each_index_at_most_once(monkeypatch, capsys):
+    # factorize certifies the primes of 12n + 13; the prime values read
+    # them without testing primality again
+    calls = []
+    for mod in (arith, hecke, quadrep):
+        real = mod.is_prime
+
+        def counted(m, _real=real):
+            calls.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(mod, "is_prime", counted)
+    monkeypatch.setattr(hecke, "_SMALL_VALUES", {})
+    code, out, _ = run(capsys, ["scan", "20000", "20300", "--output", "json"])
+    assert code == 0
+    assert len(out.splitlines()) == 302
+    assert 0 < len(calls) <= 301
 
 
 def test_scan_red_flag_mid_range_keeps_the_records_before_it(monkeypatch, capsys):

@@ -1,22 +1,27 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eta26.hecke as hecke_mod
 from eta26 import (
     P26_DENOMINATOR,
     AlgInt3,
+    CoeffBundle,
     coeff_bundle,
+    factorize,
     one_three_squares,
     p26_cm,
     p26_oracle,
     primes_below,
+    scan,
     t1_prime,
     t2_prime,
     t_prime_power,
     two_squares,
 )
+from eta26.arith import TRIAL_DIVISION_BOUND
 from eta26.errors import ConsistencyError
 from eta26.hecke import t_prime_powers
 
@@ -256,16 +261,118 @@ def test_alg_int3_is_rational():
     assert not AlgInt3(0, 5).is_rational
 
 
+def _skew_prime_values(monkeypatch, da, db, dt2):
+    """Add (da, db, dt2) to every prime value coeff_bundle reads, with a cold cache."""
+    real = hecke_mod._prime_values
+
+    def skewed(p):
+        a, b, t2 = real(p)
+        return a + da, b + db, t2 + dt2
+
+    monkeypatch.setattr(hecke_mod, "_SMALL_VALUES", {})
+    monkeypatch.setattr(hecke_mod, "_prime_values", skewed)
+
+
 def test_corrupted_prime_value_raises_consistency_error(monkeypatch):
     # a wrong prime value must be caught by the divisibility check, not
     # silently rounded away
-    import eta26.hecke as hecke_mod
-
-    real = hecke_mod.t2_prime
-
-    def skewed(p):
-        return real(p) + 1
-
-    monkeypatch.setattr(hecke_mod, "t2_prime", skewed)
+    _skew_prime_values(monkeypatch, 0, 0, 1)
     with pytest.raises(ConsistencyError):
         hecke_mod.coeff_bundle(13)
+
+
+@pytest.mark.parametrize("da, db, message", [(1, 0, "not divisible"), (0, 1, "not rational")])
+def test_corrupted_t1_prime_value_raises_consistency_error(monkeypatch, da, db, message):
+    # the t1 twin of the test above: a rational skew breaks divisibility,
+    # an irrational one breaks the rationality of t1p + t1m
+    _skew_prime_values(monkeypatch, da, db, 0)
+    with pytest.raises(ConsistencyError, match=message):
+        hecke_mod.coeff_bundle(13)
+
+
+def _poly_eval_direct(coeffs, u, v, odd):
+    """The direct power sum: every term's powers computed from scratch."""
+    top = len(coeffs) - 1
+    acc = 0
+    for k, c in enumerate(coeffs):
+        acc += c * u ** (2 * (top - k) + (1 if odd else 0)) * v ** (2 * k)
+    return acc * v if odd else acc
+
+
+FORMS = (
+    (hecke_mod._GAUSS_EVEN, False),
+    (hecke_mod._GAUSS_ODD, True),
+    (hecke_mod._EIS_EVEN, False),
+    (hecke_mod._EIS_ODD, True),
+)
+
+
+@given(st.integers(-10**7 + 1, 10**7 - 1), st.integers(-10**7 + 1, 10**7 - 1))
+def test_horner_forms_match_the_direct_power_sum(u, v):
+    for coeffs, odd in FORMS:
+        assert hecke_mod._poly_eval(coeffs, u, v, odd) == _poly_eval_direct(coeffs, u, v, odd)
+
+
+def _product_bundle(m):
+    """coeff_bundle as an AlgInt3 product of t_prime_power over t1_prime / t2_prime."""
+    fac = factorize(m)
+    t1p, t2p, odd_7, odd_5 = AlgInt3(1, 0), 1, 0, 0
+    for p, alpha in fac:
+        chi = 1 if p % 4 == 1 else -1
+        t1p = t1p * t_prime_power(t1_prime(p), p, alpha, chi)
+        t2p = t2p * t_prime_power(t2_prime(p), p, alpha, chi)
+        if alpha % 2 == 1:
+            odd_7 += p % 12 == 7
+            odd_5 += p % 12 == 5
+    t1m = t1p if odd_7 % 2 == 0 else -t1p
+    t2m = t2p if odd_5 % 2 == 0 else -t2p
+    comb = t1p + t1m - AlgInt3(t2p + t2m, 0)
+    p26, rem = divmod(comb.a, P26_DENOMINATOR)
+    assert comb.b == 0 and rem == 0, m
+    return CoeffBundle(m, fac, t1p, t1m, t2p, t2m, p26)
+
+
+def test_bundle_equals_the_product_below_3000():
+    for n in range(3001):
+        m = 12 * n + 13
+        assert coeff_bundle(m) == _product_bundle(m), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**7))
+def test_bundle_equals_the_product(n):
+    m = 12 * n + 13
+    assert coeff_bundle(m) == _product_bundle(m)
+
+
+@pytest.mark.parametrize("m", [
+    5**2, 7**2, 11**2, 13**4, 5**2 * 7**2 * 13,
+    5**3 * 17, 7**3 * 19, 11**3 * 23, 13**2 * 37**3 * 61,
+    100003**2, 5**2 * 100019**2,
+])
+def test_bundle_equals_the_product_at_higher_exponents(m):
+    assert m % 12 == 1
+    assert any(alpha >= 2 for _, alpha in factorize(m))
+    assert coeff_bundle(m) == _product_bundle(m)
+
+
+def test_prime_value_cache_holds_only_small_primes(monkeypatch):
+    monkeypatch.setattr(hecke_mod, "_SMALL_VALUES", {})
+    reports, _ = scan(0, 30000)
+    assert len(reports) == 30001
+    cached = hecke_mod._SMALL_VALUES
+    assert cached and max(cached) < TRIAL_DIVISION_BOUND
+    assert len(cached) <= len(primes_below(TRIAL_DIVISION_BOUND))
+    p = 100003  # 7 (mod 12), above the bound; recomputed on each call
+    assert t1_prime(p) == t1_prime(p) == _t1_direct(p)
+    assert t2_prime(p) == t2_prime(p) == 0
+    q = 100129  # 1 (mod 12)
+    assert t1_prime(q) == t1_prime(q) == _t1_direct(q)
+    assert t2_prime(q) == t2_prime(q) == _t2_direct(q)
+    assert p not in cached and q not in cached
+
+
+def test_public_guards_reject_non_primes():
+    for call, arg in ((t1_prime, 15), (t2_prime, 12), (two_squares, 21), (one_three_squares, 9)):
+        with pytest.raises(ValueError):
+            call(arg)

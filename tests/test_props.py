@@ -145,17 +145,20 @@ def _flip_w_at_7_mod_12(one_three_squares):
     return flipped
 
 
+# The trusted normalizer behind each public representation function: the
+# binding that hecke's prime-value core reads.
+_TRUSTED = {"two_squares": "_gauss_rep", "one_three_squares": "_eis_rep"}
+
+
 @pytest.fixture
 def flip(monkeypatch):
-    """Wrap a representation function as hecke sees it, with cold caches."""
+    """Wrap a representation function as hecke's value core sees it, with a cold cache."""
     def install(name, wrap):
-        monkeypatch.setattr(hecke, name, wrap(getattr(hecke, name)))
-        t1_prime.cache_clear()
-        t2_prime.cache_clear()
+        monkeypatch.setattr(hecke, _TRUSTED[name], wrap(getattr(hecke, _TRUSTED[name])))
+        hecke._SMALL_VALUES.clear()
     yield install
     monkeypatch.undo()
-    t1_prime.cache_clear()
-    t2_prime.cache_clear()
+    hecke._SMALL_VALUES.clear()
 
 
 def _failing(reports):
