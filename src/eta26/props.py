@@ -5,9 +5,10 @@ witness tuples (prime, exponent, detail) and sweeps the primes of its
 residue classes mod 12 below a configurable bound; the result is a
 PropReport whose failure list must be empty on a correct build.  Any
 entry is a red-flag output carrying the full witness.  run_all makes one
-pass over the primes: t1(p) and t2(p) are read once per prime and handed
-to every verifier whose classes contain p, and each report keeps its own
-count, spot checks and failures in prime order.
+pass over the sieve's primes: t1(p) and t2(p) are read once per prime from
+the trusted core hecke._prime_values, with no second primality test, and
+handed to every verifier whose classes contain p; each report keeps its
+own count, spot checks and failures in prime order.
 
 Divisibility and periodicity claims read _residues, the Hecke recursion
 reduced mod 5 or mod 7 over pairs (a, b) for a + b*sqrt(-3).  Such a
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import primes_below
-from .hecke import P26_DENOMINATOR, AlgInt3, t1_prime, t2_prime, t_prime_powers
+from .hecke import P26_DENOMINATOR, AlgInt3, _prime_values, t_prime_powers
 from .series import p26_oracle
 
 DEFAULT_PRIME_BOUND = 10_000
@@ -106,7 +107,15 @@ def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int) ->
     return _residues(t_p, p, alpha_max, q, chi) == [_pair(v, q) for v in exact]
 
 
-def _entry(prop_id: str, bound: int, classes: tuple[int, ...], claims: Claims) -> Entry:
+# the least prime of each residue class mod 12 that a verifier sweeps
+_LEAST_PRIME = {1: 13, 5: 5, 7: 7}
+
+
+def _entry(prop_id: str, prime_bound: int, bound: int, classes: tuple[int, ...],
+           claims: Claims) -> Entry:
+    least = min(_LEAST_PRIME[c] for c in classes)
+    if prime_bound < least:
+        raise ValueError(f"prime_bound must be >= {least}")
     if bound < 0:
         raise ValueError(f"{prop_id}: bound must be >= 0, got {bound}")
     return prop_id, bound, classes, claims
@@ -115,9 +124,11 @@ def _entry(prop_id: str, bound: int, classes: tuple[int, ...], claims: Claims) -
 def _sweep(prime_bound: int, entries: list[Entry]) -> list[PropReport]:
     """One pass over the primes below prime_bound, one report per entry.
 
-    t1(p) and t2(p) are read once per prime in any entry's classes and
-    handed to claims(p, spot, t1, t2) of each entry whose classes contain
-    p mod 12; spot is set for that entry's first _SPOT_CHECKS primes.
+    The primes come from the sieve, so their values are read straight from
+    the trusted core hecke._prime_values, once per prime in any entry's
+    classes, and handed as t1(p), t2(p) to claims(p, spot, t1, t2) of each
+    entry whose classes contain p mod 12; spot is set for that entry's
+    first _SPOT_CHECKS primes.
     """
     failures: list[list[Witness]] = [[] for _ in entries]
     checked = [0] * len(entries)
@@ -126,7 +137,8 @@ def _sweep(prime_bound: int, entries: list[Entry]) -> list[PropReport]:
         r = p % 12
         if r not in wanted:
             continue
-        t1, t2 = t1_prime(p), t2_prime(p)
+        a, b, t2 = _prime_values(p)
+        t1 = AlgInt3(a, b)
         for i, (_, _, classes, claims) in enumerate(entries):
             if r in classes:
                 failures[i].extend(claims(p, checked[i] < _SPOT_CHECKS, t1, t2))
@@ -136,9 +148,6 @@ def _sweep(prime_bound: int, entries: list[Entry]) -> list[PropReport]:
 
 
 def _t2_at_5_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
-    if prime_bound < 5:
-        raise ValueError("prime_bound must be >= 5")
-
     def claims(p: int, spot: bool, t1: AlgInt3, v: int) -> Iterator[Witness]:
         if p == 5:
             if v % 5 == 0:
@@ -159,7 +168,7 @@ def _t2_at_5_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
             if v != _T2_ORACLE_FACTOR * p26_oracle((5 * p - 13) // 12):
                 yield (p, 1, "t2(p) != -792 * p26((5p - 13)/12)")
 
-    return _entry("t2-divisibility-5mod12", exponent_bound, (5,), claims)
+    return _entry("t2-divisibility-5mod12", prime_bound, exponent_bound, (5,), claims)
 
 
 def verify_t2_at_5_mod_12(
@@ -178,9 +187,6 @@ def verify_t2_at_5_mod_12(
 
 
 def _t1_at_7_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
-    if prime_bound < 7:
-        raise ValueError("prime_bound must be >= 7")
-
     def claims(p: int, spot: bool, t: AlgInt3, t2: int) -> Iterator[Witness]:
         if t.a != 0:
             yield (p, 1, "t1(p) should be a pure sqrt(-3) multiple")
@@ -204,7 +210,7 @@ def _t1_at_7_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
                 if ra == 0:
                     yield (p, 2 * a, f"expected {q} to not divide t1(p^(2a))")
 
-    return _entry("t1-divisibility-7mod12", exponent_bound, (7,), claims)
+    return _entry("t1-divisibility-7mod12", prime_bound, exponent_bound, (7,), claims)
 
 
 def verify_t1_at_7_mod_12(
@@ -223,9 +229,6 @@ def verify_t1_at_7_mod_12(
 
 
 def _split_at_1_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
-    if prime_bound < 13:
-        raise ValueError("prime_bound must be >= 13")
-
     def claims(p: int, spot: bool, v1: AlgInt3, v2: int) -> Iterator[Witness]:
         if v1.b != 0:
             yield (p, 1, "t1(p) should be rational at p = 1 (mod 12)")
@@ -250,7 +253,7 @@ def _split_at_1_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
             if not _spot_check(v1.a, p, min(6, exponent_bound), 7, 1):
                 yield (p, None, "reduced mod-7 recursion mismatch")
 
-    return _entry("divisibility-1mod12", exponent_bound, (1,), claims)
+    return _entry("divisibility-1mod12", prime_bound, exponent_bound, (1,), claims)
 
 
 def verify_split_at_1_mod_12(
@@ -268,7 +271,7 @@ def verify_split_at_1_mod_12(
     return _sweep(prime_bound, [_split_at_1_mod_12(prime_bound, exponent_bound)])[0]
 
 
-def _periodicity(l_bound: int) -> Entry:
+def _periodicity(prime_bound: int, l_bound: int) -> Entry:
     def claims(p: int, spot: bool, t1: AlgInt3, t2: int) -> Iterator[Witness]:
         v2 = t2 % 5
         v1 = t1.a % 7
@@ -290,7 +293,7 @@ def _periodicity(l_bound: int) -> Entry:
                 if res7[7 * l + k] != (s7 * res7[7 * (l - 1) + k]) % 7:
                     yield (p, 7 * l + k, "mod-7 periodicity violated")
 
-    return _entry("periodicity-1mod12", l_bound, (1,), claims)
+    return _entry("periodicity-1mod12", prime_bound, l_bound, (1,), claims)
 
 
 def verify_periodicity(
@@ -304,10 +307,10 @@ def verify_periodicity(
     offsets k in 0..5.  Analogously mod 7 for t1, with s = +1 when
     t1(p) = 2 (mod 7) and s = -1 when t1(p) = 5 (mod 7).
     """
-    return _sweep(prime_bound, [_periodicity(l_bound)])[0]
+    return _sweep(prime_bound, [_periodicity(prime_bound, l_bound)])[0]
 
 
-def _difference_nonvanishing(exponent_bound: int) -> Entry:
+def _difference_nonvanishing(prime_bound: int, exponent_bound: int) -> Entry:
     def claims(p: int, spot: bool, t1: AlgInt3, t2: int) -> Iterator[Witness]:
         chi = 1 if p % 4 == 1 else -1
         if p % 12 == 1:
@@ -339,7 +342,8 @@ def _difference_nonvanishing(exponent_bound: int) -> Entry:
                 if t1s[a].a == t2s[a]:
                     yield (p, a, "t1(p^a) = t2(p^a)")
 
-    return _entry("t1-t2-difference-nonvanishing", exponent_bound, (1, 5, 7), claims)
+    return _entry("t1-t2-difference-nonvanishing", prime_bound, exponent_bound, (1, 5, 7),
+                  claims)
 
 
 def verify_difference_nonvanishing(
@@ -354,7 +358,7 @@ def verify_difference_nonvanishing(
     p = 7 (mod 12) the difference is checked at even exponents, where
     both values are rational integers.
     """
-    return _sweep(prime_bound, [_difference_nonvanishing(exponent_bound)])[0]
+    return _sweep(prime_bound, [_difference_nonvanishing(prime_bound, exponent_bound)])[0]
 
 
 def run_all(
@@ -367,8 +371,8 @@ def run_all(
         _t2_at_5_mod_12(prime_bound, exponent_bound),
         _t1_at_7_mod_12(prime_bound, exponent_bound),
         _split_at_1_mod_12(prime_bound, exponent_bound),
-        _periodicity(l_bound),
-        _difference_nonvanishing(exponent_bound),
+        _periodicity(prime_bound, l_bound),
+        _difference_nonvanishing(prime_bound, exponent_bound),
     ])
 
 

@@ -27,16 +27,20 @@ The guards two_squares / one_three_squares certify p, then call the trusted
 _gauss_rep / _eis_rep, which run no primality test.
 
 Algorithm: Cornacchia (1908; Cohen, A Course in Computational Algebraic
-Number Theory, Alg. 1.5.2).  Tonelli-Shanks gives r = sqrt(-d) mod p,
-the Euclidean algorithm on (p, r) stops at the first remainder b <=
-sqrt(p), and (p - b^2)/d must be an exact square.  The solution is
-unique up to signs (and order, for d = 1), so the normalization above
-does not depend on how it was found.  The cost is O(log p) modular
-multiplications and Euclidean steps, except for the search for a
-quadratic nonresidue, which is capped at Bach's bound 2 (ln p)^2 (it
-holds for every prime under GRH).  Past the cap, or if no
-representation comes out for a certified prime, ConsistencyError is
-raised; no loop here grows faster than polylogarithmically in p.
+Number Theory, Alg. 1.5.2).  r = sqrt(-d) mod p comes from a root of
+unity: r = z^((p-1)/4) for the first quadratic nonresidue z when d = 1,
+and r = 2 omega + 1 with omega = z^((p-1)/3) for the first z that is not
+a cube when d = 3.  The Euclidean algorithm on (p, r) stops at the first
+remainder b <= sqrt(p), and (p - b^2)/d must be an exact square.  The
+solution is unique up to signs (and order, for d = 1), so the
+normalization above does not depend on which root was found.  Each
+candidate z costs O(log p) modular multiplications and Euclid O(log p)
+steps.  The search is capped at Bach's bound 2 (ln p)^2: under GRH every
+proper subgroup of (Z/p)^*, the squares and the cubes included, misses
+some z below it.  A candidate counts only if r^2 = -d (mod p) exactly.
+Past the cap, or if no representation comes out for a certified prime,
+ConsistencyError is raised; no loop here grows faster than
+polylogarithmically in p.
 """
 
 from __future__ import annotations
@@ -83,31 +87,16 @@ def _cornacchia(d: int, p: int) -> tuple[int, int]:
 
     For d = 1 the pair is ordered so that u is odd.
     """
-    # Tonelli-Shanks for r = sqrt(-d) mod p, with p - 1 = q * 2^s, q odd
-    a = -d % p
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> s
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    if t != 1:
-        for z in range(2, int(2 * math.log(p) ** 2) + 1):
-            if pow(z, (p - 1) // 2, p) == p - 1:
-                break
-        else:
-            raise ConsistencyError(f"no quadratic nonresidue mod {p} below the cap")
-        c = pow(z, q, p)
-        while t != 1:
-            i, t2i = 0, t
-            while t2i != 1:
-                t2i = t2i * t2i % p
-                i += 1
-                if i == s:
-                    raise ConsistencyError(f"{-d} is not a square mod {p}")
-            b = pow(c, 1 << (s - i - 1), p)
-            r = r * b % p
-            c = b * b % p
-            t = t * c % p
-            s = i
+    # r = sqrt(-d) mod p: a 4th root of unity for d = 1; for d = 3, 2 omega + 1
+    # with omega a primitive cube root of 1, as (2 omega + 1)^2 = -3
+    k, kind = (4, "quadratic") if d == 1 else (3, "cubic")
+    for z in range(2, int(2 * math.log(p) ** 2) + 1):
+        root = pow(z, (p - 1) // k, p)
+        r = root if d == 1 else (2 * root + 1) % p
+        if r * r % p == p - d:
+            break
+    else:
+        raise ConsistencyError(f"no {kind} nonresidue mod {p} below the cap")
     # Euclid on (p, r) down to the first remainder <= sqrt(p)
     a, b = p, r
     bound = math.isqrt(p)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eta26 import (
-    hecke, p26_oracle, primes_below, props, t1_prime, t2_prime, t_prime_power,
+    arith, hecke, p26_oracle, primes_below, props, quadrep, t1_prime, t2_prime,
+    t_prime_power,
 )
 from eta26.cli import main
 from eta26.hecke import AlgInt3, t_prime_powers
@@ -206,19 +207,29 @@ def test_negative_bounds_raise():
     for verify in VERIFIERS:
         with pytest.raises(ValueError):
             verify(100, -1)
+    # a prime bound below the least prime of a verifier's classes is refused
+    # rather than reported as ok with nothing checked
+    for verify, least in ((verify_t2_at_5_mod_12, 5), (verify_t1_at_7_mod_12, 7),
+                          (verify_split_at_1_mod_12, 13), (verify_periodicity, 13),
+                          (verify_difference_nonvanishing, 5)):
+        with pytest.raises(ValueError, match=f"prime_bound must be >= {least}"):
+            verify(least - 1, 3)
+        report = verify(least + 1, 3)
+        assert report.ok and report.checked == 1
     for bounds in ((100, -1, 1), (100, 1, -1)):
         with pytest.raises(ValueError):
             run_all(*bounds)
 
 
 def _skew_t2_at_1_mod_12(monkeypatch):
-    real = hecke.t2_prime
+    real = hecke._prime_values
 
     def skewed(p):
-        return real(p) + 7 if p % 12 == 1 else real(p)
+        a, b, t2 = real(p)
+        return (a, b, t2 + 7) if p % 12 == 1 else (a, b, t2)
 
-    monkeypatch.setattr(props, "t2_prime", skewed)
-    monkeypatch.setattr(hecke, "t2_prime", skewed)
+    monkeypatch.setattr(props, "_prime_values", skewed)
+    monkeypatch.setattr(hecke, "_prime_values", skewed)
 
 
 def test_t2_skew_at_1_mod_12_witnesses_match_golden(monkeypatch):
@@ -354,15 +365,30 @@ def test_one_pass_equals_the_separate_verifiers(flip, monkeypatch, fault, bounds
 
 
 def test_one_pass_reads_each_prime_value_once(monkeypatch):
-    calls = {"t1": [], "t2": []}
-    for name, key in (("t1_prime", "t1"), ("t2_prime", "t2")):
-        real = getattr(props, name)
+    calls = []
+    real = props._prime_values
 
-        def counted(p, _real=real, _key=key):
-            calls[_key].append(p)
-            return _real(p)
+    def counted(p):
+        calls.append(p)
+        return real(p)
 
-        monkeypatch.setattr(props, name, counted)
+    monkeypatch.setattr(props, "_prime_values", counted)
     run_all(3000, 6, 2)
-    expected = [p for p in primes_below(3000) if p % 12 in (1, 5, 7)]
-    assert calls == {"t1": expected, "t2": expected}
+    assert calls == [p for p in primes_below(3000) if p % 12 in (1, 5, 7)]
+
+
+def test_one_pass_certifies_no_prime(monkeypatch):
+    # the sweep's primes come from the sieve; no binding of is_prime is called
+    calls = []
+    for module in (arith, hecke, quadrep):
+        real = module.is_prime
+
+        def counted(n, _real=real):
+            calls.append(n)
+            return _real(n)
+
+        monkeypatch.setattr(module, "is_prime", counted)
+    hecke._SMALL_VALUES.clear()
+    run_all(3000, 6, 2)
+    # the public guards, which still certify, are tested in test_hecke.py
+    assert calls == []

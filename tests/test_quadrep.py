@@ -213,11 +213,13 @@ def test_cornacchia_never_raises_on_a_certified_prime(p):
         assert z * z + 3 * w * w == p and z >= 0 and w >= 0
 
 
-def test_nonresidue_search_is_capped():
-    # every z below the cap 2 (ln 25)^2 has z^12 != -1 (mod 25), so the
-    # search gives up instead of running on
-    with pytest.raises(ConsistencyError, match="nonresidue"):
-        quadrep._cornacchia(1, 25)
+@pytest.mark.parametrize("d, kind", [(1, "quadratic"), (3, "cubic")])
+def test_nonresidue_search_is_capped(d, kind):
+    # every z below the cap 2 (ln 25)^2 has r^2 != -d (mod 25), with r = z^6
+    # for d = 1 and r = 2 z^8 + 1 for d = 3, so the search gives up instead
+    # of running on
+    with pytest.raises(ConsistencyError, match=f"no {kind} nonresidue"):
+        quadrep._cornacchia(d, 25)
 
 
 def test_p26_cm_at_a_prime_near_1e30_is_fast():
