@@ -82,7 +82,7 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 
 def _add_props_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prime-bound", type=_at_least(13), default=props.DEFAULT_PRIME_BOUND)
+    p.add_argument("--prime-bound", type=_at_least(14), default=props.DEFAULT_PRIME_BOUND)
     p.add_argument("--exp-bound", type=_at_least(0), default=props.DEFAULT_EXPONENT_BOUND)
     p.add_argument("--l-bound", type=_at_least(0), default=props.DEFAULT_L_BOUND)
 

@@ -140,10 +140,10 @@ def _require_prime(p: int) -> None:
 T = TypeVar("T", int, AlgInt3)
 
 
-def t_prime_powers(t_p: T, p: int, alpha_max: int, chi: int) -> list[T]:
+def t_prime_powers(t_p: T, p: int, alpha_max: int) -> list[T]:
     """[t(p^0), ..., t(p^alpha_max)] from t(p) by the two-term Hecke recursion.
 
-    chi must be +1 for p = 1 mod 4 and -1 for p = 3 mod 4:
+    With chi = +1 for p = 1 mod 4 and -1 for p = 3 mod 4:
 
         t(p^r) = t(p) * t(p^(r-1)) - chi * p^12 * t(p^(r-2)),
 
@@ -151,11 +151,9 @@ def t_prime_powers(t_p: T, p: int, alpha_max: int, chi: int) -> list[T]:
     according to the type of t_p; in Z[sqrt(-3)] the recursion runs on the
     integer pairs (a, b) and one AlgInt3 is built per entry.
     """
-    if chi != (1 if p % 4 == 1 else -1):
-        raise ValueError(f"chi={chi} inconsistent with p={p} mod 4")
     if alpha_max < 0:
         raise ValueError("alpha must be >= 0")
-    step = chi * p**12
+    step = p**12 if p % 4 == 1 else -p**12
     if not isinstance(t_p, AlgInt3):
         out = [1, t_p]
         for _ in range(alpha_max - 1):
@@ -171,9 +169,9 @@ def t_prime_powers(t_p: T, p: int, alpha_max: int, chi: int) -> list[T]:
     return alg[: alpha_max + 1]
 
 
-def t_prime_power(t_p: T, p: int, alpha: int, chi: int) -> T:
-    """t(p^alpha), the last entry of t_prime_powers(t_p, p, alpha, chi)."""
-    return t_prime_powers(t_p, p, alpha, chi)[-1]
+def t_prime_power(t_p: T, p: int, alpha: int) -> T:
+    """t(p^alpha), the last entry of t_prime_powers(t_p, p, alpha)."""
+    return t_prime_powers(t_p, p, alpha)[-1]
 
 
 @dataclass(frozen=True)
@@ -214,9 +212,8 @@ def coeff_bundle(m: int) -> CoeffBundle:
     for p, alpha in fac:
         ta, tb, t2 = _prime_values(p)
         if alpha > 1:
-            chi = 1 if p % 4 == 1 else -1
-            t1 = t_prime_power(AlgInt3(ta, tb), p, alpha, chi)
-            ta, tb, t2 = t1.a, t1.b, t_prime_power(t2, p, alpha, chi)
+            t1 = t_prime_power(AlgInt3(ta, tb), p, alpha)
+            ta, tb, t2 = t1.a, t1.b, t_prime_power(t2, p, alpha)
         a, b = a * ta - 3 * b * tb, a * tb + b * ta
         t2p *= t2
         flip_1 ^= alpha % 2 == 1 and p % 12 == 7

@@ -1,14 +1,15 @@
 """Batch verification of divisibility, periodicity, and nonvanishing claims.
 
 Each verifier states its claims about one prime as a generator of
-witness tuples (prime, exponent, detail) and sweeps the primes of its
-residue classes mod 12 below a configurable bound; the result is a
-PropReport whose failure list must be empty on a correct build.  Any
-entry is a red-flag output carrying the full witness.  run_all makes one
-pass over the sieve's primes: t1(p) and t2(p) are read once per prime from
-the trusted core hecke._prime_values, with no second primality test, and
-handed to every verifier whose classes contain p; each report keeps its
-own count, spot checks and failures in prime order.
+witness tuples (prime, exponent, detail); one table, _VERIFIERS, gives each
+its prop id and residue classes mod 12, and one sweep checks the primes of
+those classes below a configurable bound.  The result is a PropReport whose
+failure list must be empty on a correct build.  Any entry is a red-flag
+output carrying the full witness.  The sweep makes one pass over the
+sieve's primes: t1(p) and t2(p) are read once per prime from the trusted
+core hecke._prime_values, with no second primality test, and handed to
+every verifier whose classes contain p; each report keeps its own count,
+spot checks and failures in prime order.
 
 Divisibility and periodicity claims read _residues, the Hecke recursion
 reduced mod 5 or mod 7 over pairs (a, b) for a + b*sqrt(-3).  Such a
@@ -47,10 +48,9 @@ _T2_ORACLE_FACTOR = -792
 _T1_ORACLE_FACTOR = 617760
 
 Witness = tuple[int, int | None, str]
-# claims(p, spot, t1(p), t2(p)) yields the witnesses of the claims that fail at p
-Claims = Callable[[int, bool, AlgInt3, int], Iterator[Witness]]
-# (prop_id, bound, residue classes mod 12, claims) of one verifier
-Entry = tuple[str, int, tuple[int, ...], Claims]
+# claims(p, spot, t1(p), t2(p), bound) yields the witnesses of the claims
+# that fail at p
+Claims = Callable[[int, bool, AlgInt3, int, int], Iterator[Witness]]
 
 
 @dataclass(frozen=True)
@@ -91,45 +91,46 @@ def _reduced(ta: int, tb: int, step: int, alpha_max: int, q: int
     return tuple(out[: alpha_max + 1])
 
 
-def _residues(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int
+def _residues(t_p: int | AlgInt3, p: int, alpha_max: int, q: int
               ) -> list[tuple[int, int]]:
     """_pair(t(p^alpha), q) for alpha = 0..alpha_max, by the recursion mod q.
 
     The sequence depends on p only through its residue state, so it is
     computed once per state; each call gets a fresh list to edit.
     """
-    return list(_reduced(*_pair(t_p, q), chi * pow(p, 12, q) % q, alpha_max, q))
+    step = (pow(p, 12, q) if p % 4 == 1 else -pow(p, 12, q)) % q
+    return list(_reduced(*_pair(t_p, q), step, alpha_max, q))
 
 
-def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int, chi: int) -> bool:
+def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int) -> bool:
     """The reduced recursion against the exact one, mod q."""
-    exact = t_prime_powers(t_p, p, alpha_max, chi)
-    return _residues(t_p, p, alpha_max, q, chi) == [_pair(v, q) for v in exact]
+    exact = t_prime_powers(t_p, p, alpha_max)
+    return _residues(t_p, p, alpha_max, q) == [_pair(v, q) for v in exact]
 
 
 # the least prime of each residue class mod 12 that a verifier sweeps
 _LEAST_PRIME = {1: 13, 5: 5, 7: 7}
 
 
-def _entry(prop_id: str, prime_bound: int, bound: int, classes: tuple[int, ...],
-           claims: Claims) -> Entry:
-    least = min(_LEAST_PRIME[c] for c in classes)
-    if prime_bound < least:
-        raise ValueError(f"prime_bound must be >= {least}")
-    if bound < 0:
-        raise ValueError(f"{prop_id}: bound must be >= 0, got {bound}")
-    return prop_id, bound, classes, claims
+def _sweep(prime_bound: int, bounds: dict[Claims, int]) -> list[PropReport]:
+    """One pass over the primes below prime_bound, one report per verifier.
 
-
-def _sweep(prime_bound: int, entries: list[Entry]) -> list[PropReport]:
-    """One pass over the primes below prime_bound, one report per entry.
-
-    The primes come from the sieve, so their values are read straight from
-    the trusted core hecke._prime_values, once per prime in any entry's
-    classes, and handed as t1(p), t2(p) to claims(p, spot, t1, t2) of each
-    entry whose classes contain p mod 12; spot is set for that entry's
-    first _SPOT_CHECKS primes.
+    bounds maps the claims of some verifiers in _VERIFIERS to their bounds;
+    the reports come in the table's order.  The primes come from the sieve,
+    so their values are read straight from the trusted core
+    hecke._prime_values, once per prime in any verifier's classes, and handed
+    as t1(p), t2(p) to claims(p, spot, t1, t2, bound) of each verifier whose
+    classes contain p mod 12; spot is set for that verifier's first
+    _SPOT_CHECKS primes.
     """
+    entries = [(claims, prop_id, classes, bounds[claims])
+               for claims, prop_id, classes in _VERIFIERS if claims in bounds]
+    for _, prop_id, classes, bound in entries:
+        least = min(_LEAST_PRIME[c] for c in classes)
+        if prime_bound <= least:
+            raise ValueError(f"prime_bound must be > {least}")
+        if bound < 0:
+            raise ValueError(f"{prop_id}: bound must be >= 0, got {bound}")
     failures: list[list[Witness]] = [[] for _ in entries]
     checked = [0] * len(entries)
     wanted = {c for _, _, classes, _ in entries for c in classes}
@@ -139,36 +140,34 @@ def _sweep(prime_bound: int, entries: list[Entry]) -> list[PropReport]:
             continue
         a, b, t2 = _prime_values(p)
         t1 = AlgInt3(a, b)
-        for i, (_, _, classes, claims) in enumerate(entries):
+        for i, (claims, _, classes, bound) in enumerate(entries):
             if r in classes:
-                failures[i].extend(claims(p, checked[i] < _SPOT_CHECKS, t1, t2))
+                failures[i].extend(claims(p, checked[i] < _SPOT_CHECKS, t1, t2, bound))
                 checked[i] += 1
     return [PropReport(prop_id, prime_bound, bound, checked[i], tuple(failures[i]))
-            for i, (prop_id, bound, _, _) in enumerate(entries)]
+            for i, (_, prop_id, _, bound) in enumerate(entries)]
 
 
-def _t2_at_5_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
-    def claims(p: int, spot: bool, t1: AlgInt3, v: int) -> Iterator[Witness]:
-        if p == 5:
-            if v % 5 == 0:
-                yield (p, 1, "expected 5 to not divide t2(5)")
-        elif v % 5 != 0:
-            yield (p, 1, "expected 5 | t2(p)")
-        if v % 7 not in (0, 2, 5):
-            yield (p, 1, f"t2(p) mod 7 = {v % 7}, not in {{0,2,5}}")
-        if (v % 7 == 0) != (p % 7 in (1, 2, 4)):
-            yield (p, 1, "7 | t2(p) iff p = 1,2,4 (mod 7) violated")
-        res5 = _residues(v, p, 2 * exponent_bound, 5, chi=1)
-        for a in range(1, exponent_bound + 1):
-            if res5[2 * a] == (0, 0):
-                yield (p, 2 * a, "expected 5 to not divide t2(p^(2a))")
-        if spot:
-            if not _spot_check(v, p, min(6, 2 * exponent_bound), 5, 1):
-                yield (p, None, "reduced mod-5 recursion mismatch")
-            if v != _T2_ORACLE_FACTOR * p26_oracle((5 * p - 13) // 12):
-                yield (p, 1, "t2(p) != -792 * p26((5p - 13)/12)")
-
-    return _entry("t2-divisibility-5mod12", prime_bound, exponent_bound, (5,), claims)
+def _t2_at_5_mod_12(p: int, spot: bool, t1: AlgInt3, v: int,
+                    exponent_bound: int) -> Iterator[Witness]:
+    if p == 5:
+        if v % 5 == 0:
+            yield (p, 1, "expected 5 to not divide t2(5)")
+    elif v % 5 != 0:
+        yield (p, 1, "expected 5 | t2(p)")
+    if v % 7 not in (0, 2, 5):
+        yield (p, 1, f"t2(p) mod 7 = {v % 7}, not in {{0,2,5}}")
+    if (v % 7 == 0) != (p % 7 in (1, 2, 4)):
+        yield (p, 1, "7 | t2(p) iff p = 1,2,4 (mod 7) violated")
+    res5 = _residues(v, p, 2 * exponent_bound, 5)
+    for a in range(1, exponent_bound + 1):
+        if res5[2 * a] == (0, 0):
+            yield (p, 2 * a, "expected 5 to not divide t2(p^(2a))")
+    if spot:
+        if not _spot_check(v, p, min(6, 2 * exponent_bound), 5):
+            yield (p, None, "reduced mod-5 recursion mismatch")
+        if v != _T2_ORACLE_FACTOR * p26_oracle((5 * p - 13) // 12):
+            yield (p, 1, "t2(p) != -792 * p26((5p - 13)/12)")
 
 
 def verify_t2_at_5_mod_12(
@@ -183,34 +182,32 @@ def verify_t2_at_5_mod_12(
     first _SPOT_CHECKS primes must also satisfy t2(p) = -792 p26(n) with
     12n + 13 = 5p, from the series oracle.
     """
-    return _sweep(prime_bound, [_t2_at_5_mod_12(prime_bound, exponent_bound)])[0]
+    return _sweep(prime_bound, {_t2_at_5_mod_12: exponent_bound})[0]
 
 
-def _t1_at_7_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
-    def claims(p: int, spot: bool, t: AlgInt3, t2: int) -> Iterator[Witness]:
-        if t.a != 0:
-            yield (p, 1, "t1(p) should be a pure sqrt(-3) multiple")
-        if spot:
-            for q in (5, 7):
-                if not _spot_check(t, p, min(6, 2 * exponent_bound), q, -1):
-                    yield (p, None, f"reduced mod-{q} recursion mismatch")
-            oracle = P26_DENOMINATOR * p26_oracle((7 * p - 13) // 12)
-            if _T1_ORACLE_FACTOR * t.b != oracle:
-                yield (p, 1, "617760 * t1(p)/sqrt(-3) != 32617728 * p26((7p - 13)/12)")
-        if t.b % 5 != 0:
-            yield (p, 1, "expected 5 | t1(p)/sqrt(-3)")
-        if (t.b % 7 == 0) == (p == 7):
-            yield (p, 1, "7 | t1(p)/sqrt(-3) iff p != 7 violated")
+def _t1_at_7_mod_12(p: int, spot: bool, t: AlgInt3, t2: int,
+                    exponent_bound: int) -> Iterator[Witness]:
+    if t.a != 0:
+        yield (p, 1, "t1(p) should be a pure sqrt(-3) multiple")
+    if spot:
         for q in (5, 7):
-            res = _residues(t, p, 2 * exponent_bound, q, chi=-1)
-            for a in range(1, exponent_bound + 1):
-                ra, rb = res[2 * a]
-                if rb != 0:
-                    yield (p, 2 * a, f"t1(p^(2a)) mod {q} not rational")
-                if ra == 0:
-                    yield (p, 2 * a, f"expected {q} to not divide t1(p^(2a))")
-
-    return _entry("t1-divisibility-7mod12", prime_bound, exponent_bound, (7,), claims)
+            if not _spot_check(t, p, min(6, 2 * exponent_bound), q):
+                yield (p, None, f"reduced mod-{q} recursion mismatch")
+        oracle = P26_DENOMINATOR * p26_oracle((7 * p - 13) // 12)
+        if _T1_ORACLE_FACTOR * t.b != oracle:
+            yield (p, 1, "617760 * t1(p)/sqrt(-3) != 32617728 * p26((7p - 13)/12)")
+    if t.b % 5 != 0:
+        yield (p, 1, "expected 5 | t1(p)/sqrt(-3)")
+    if (t.b % 7 == 0) == (p == 7):
+        yield (p, 1, "7 | t1(p)/sqrt(-3) iff p != 7 violated")
+    for q in (5, 7):
+        res = _residues(t, p, 2 * exponent_bound, q)
+        for a in range(1, exponent_bound + 1):
+            ra, rb = res[2 * a]
+            if rb != 0:
+                yield (p, 2 * a, f"t1(p^(2a)) mod {q} not rational")
+            if ra == 0:
+                yield (p, 2 * a, f"expected {q} to not divide t1(p^(2a))")
 
 
 def verify_t1_at_7_mod_12(
@@ -225,35 +222,33 @@ def verify_t1_at_7_mod_12(
     satisfy 617760 h = 32617728 p26(n) with 12n + 13 = 7p, from the
     series oracle.
     """
-    return _sweep(prime_bound, [_t1_at_7_mod_12(prime_bound, exponent_bound)])[0]
+    return _sweep(prime_bound, {_t1_at_7_mod_12: exponent_bound})[0]
 
 
-def _split_at_1_mod_12(prime_bound: int, exponent_bound: int) -> Entry:
-    def claims(p: int, spot: bool, v1: AlgInt3, v2: int) -> Iterator[Witness]:
-        if v1.b != 0:
-            yield (p, 1, "t1(p) should be rational at p = 1 (mod 12)")
-        if v2 % 5 not in (2, 3):
-            yield (p, 1, f"t2(p) mod 5 = {v2 % 5}, not in {{2,3}}")
-        if v2 % 7 not in (0, 2, 5):
-            yield (p, 1, f"t2(p) mod 7 = {v2 % 7}, not in {{0,2,5}}")
-        if v1.a % 7 not in (2, 5):
-            yield (p, 1, f"t1(p) mod 7 = {v1.a % 7}, not in {{2,5}}")
-        if v1.a % 5 not in (2, 3):
-            yield (p, 1, f"t1(p) mod 5 = {v1.a % 5}, not in {{2,3}}")
-        res5 = _residues(v2, p, exponent_bound, 5, chi=1)
-        res7 = _residues(v1.a, p, exponent_bound, 7, chi=1)
-        for a in range(exponent_bound + 1):
-            if (res5[a] == (0, 0)) != (a % 5 == 4):
-                yield (p, a, "5 | t2(p^a) iff a = 4 (mod 5) violated")
-            if (res7[a] == (0, 0)) != (a % 7 == 6):
-                yield (p, a, "7 | t1(p^a) iff a = 6 (mod 7) violated")
-        if spot:
-            if not _spot_check(v2, p, min(6, exponent_bound), 5, 1):
-                yield (p, None, "reduced mod-5 recursion mismatch")
-            if not _spot_check(v1.a, p, min(6, exponent_bound), 7, 1):
-                yield (p, None, "reduced mod-7 recursion mismatch")
-
-    return _entry("divisibility-1mod12", prime_bound, exponent_bound, (1,), claims)
+def _split_at_1_mod_12(p: int, spot: bool, v1: AlgInt3, v2: int,
+                       exponent_bound: int) -> Iterator[Witness]:
+    if v1.b != 0:
+        yield (p, 1, "t1(p) should be rational at p = 1 (mod 12)")
+    if v2 % 5 not in (2, 3):
+        yield (p, 1, f"t2(p) mod 5 = {v2 % 5}, not in {{2,3}}")
+    if v2 % 7 not in (0, 2, 5):
+        yield (p, 1, f"t2(p) mod 7 = {v2 % 7}, not in {{0,2,5}}")
+    if v1.a % 7 not in (2, 5):
+        yield (p, 1, f"t1(p) mod 7 = {v1.a % 7}, not in {{2,5}}")
+    if v1.a % 5 not in (2, 3):
+        yield (p, 1, f"t1(p) mod 5 = {v1.a % 5}, not in {{2,3}}")
+    res5 = _residues(v2, p, exponent_bound, 5)
+    res7 = _residues(v1.a, p, exponent_bound, 7)
+    for a in range(exponent_bound + 1):
+        if (res5[a] == (0, 0)) != (a % 5 == 4):
+            yield (p, a, "5 | t2(p^a) iff a = 4 (mod 5) violated")
+        if (res7[a] == (0, 0)) != (a % 7 == 6):
+            yield (p, a, "7 | t1(p^a) iff a = 6 (mod 7) violated")
+    if spot:
+        if not _spot_check(v2, p, min(6, exponent_bound), 5):
+            yield (p, None, "reduced mod-5 recursion mismatch")
+        if not _spot_check(v1.a, p, min(6, exponent_bound), 7):
+            yield (p, None, "reduced mod-7 recursion mismatch")
 
 
 def verify_split_at_1_mod_12(
@@ -268,32 +263,30 @@ def verify_split_at_1_mod_12(
     exactly when a = 6 (mod 7).  exponent_bound >= 14 crosses both
     periods at least twice.
     """
-    return _sweep(prime_bound, [_split_at_1_mod_12(prime_bound, exponent_bound)])[0]
+    return _sweep(prime_bound, {_split_at_1_mod_12: exponent_bound})[0]
 
 
-def _periodicity(prime_bound: int, l_bound: int) -> Entry:
-    def claims(p: int, spot: bool, t1: AlgInt3, t2: int) -> Iterator[Witness]:
-        v2 = t2 % 5
-        v1 = t1.a % 7
-        if v2 not in (2, 3):
-            yield (p, 1, f"t2(p) mod 5 = {v2}, no periodicity branch")
-            return
-        if v1 not in (2, 5):
-            yield (p, 1, f"t1(p) mod 7 = {v1}, no periodicity branch")
-            return
-        res5 = [a for a, _ in _residues(v2, p, 5 * l_bound + 5, 5, chi=1)]
-        res7 = [a for a, _ in _residues(v1, p, 7 * l_bound + 7, 7, chi=1)]
-        s5 = 1 if v2 == 2 else -1
-        s7 = 1 if v1 == 2 else -1
-        for l in range(1, l_bound + 1):
-            for k in range(6):
-                if res5[5 * l + k] != (s5 * res5[5 * (l - 1) + k]) % 5:
-                    yield (p, 5 * l + k, "mod-5 periodicity violated")
-            for k in range(8):
-                if res7[7 * l + k] != (s7 * res7[7 * (l - 1) + k]) % 7:
-                    yield (p, 7 * l + k, "mod-7 periodicity violated")
-
-    return _entry("periodicity-1mod12", prime_bound, l_bound, (1,), claims)
+def _periodicity(p: int, spot: bool, t1: AlgInt3, t2: int,
+                 l_bound: int) -> Iterator[Witness]:
+    v2 = t2 % 5
+    v1 = t1.a % 7
+    if v2 not in (2, 3):
+        yield (p, 1, f"t2(p) mod 5 = {v2}, no periodicity branch")
+        return
+    if v1 not in (2, 5):
+        yield (p, 1, f"t1(p) mod 7 = {v1}, no periodicity branch")
+        return
+    res5 = [a for a, _ in _residues(v2, p, 5 * l_bound + 5, 5)]
+    res7 = [a for a, _ in _residues(v1, p, 7 * l_bound + 7, 7)]
+    s5 = 1 if v2 == 2 else -1
+    s7 = 1 if v1 == 2 else -1
+    for l in range(1, l_bound + 1):
+        for k in range(6):
+            if res5[5 * l + k] != (s5 * res5[5 * (l - 1) + k]) % 5:
+                yield (p, 5 * l + k, "mod-5 periodicity violated")
+        for k in range(8):
+            if res7[7 * l + k] != (s7 * res7[7 * (l - 1) + k]) % 7:
+                yield (p, 7 * l + k, "mod-7 periodicity violated")
 
 
 def verify_periodicity(
@@ -307,43 +300,39 @@ def verify_periodicity(
     offsets k in 0..5.  Analogously mod 7 for t1, with s = +1 when
     t1(p) = 2 (mod 7) and s = -1 when t1(p) = 5 (mod 7).
     """
-    return _sweep(prime_bound, [_periodicity(prime_bound, l_bound)])[0]
+    return _sweep(prime_bound, {_periodicity: l_bound})[0]
 
 
-def _difference_nonvanishing(prime_bound: int, exponent_bound: int) -> Entry:
-    def claims(p: int, spot: bool, t1: AlgInt3, t2: int) -> Iterator[Witness]:
-        chi = 1 if p % 4 == 1 else -1
-        if p % 12 == 1:
-            v1, v2 = t1.a, t2
-            if v1 % 2 != 0 or (v1 // 2) % 2 != 1:
-                yield (p, 1, "t1(p) is not twice an odd integer")
-            if v2 % 2 != 0 or (v2 // 2) % 2 != 1:
-                yield (p, 1, "t2(p) is not twice an odd integer")
-            a0, b0 = v1 // 2, v2 // 2
-            t1s = t_prime_powers(v1, p, max(2, exponent_bound), chi)
-            t2s = t_prime_powers(v2, p, max(2, exponent_bound), chi)
-            if t1s[2] - t2s[2] != 4 * (a0 * a0 - b0 * b0):
-                yield (p, 2, "t1(p^2) - t2(p^2) != 4(a0^2 - b0^2)")
-            for a in range(1, exponent_bound + 1):
-                if t1s[a] == t2s[a]:
-                    yield (p, a, "t1(p^a) = t2(p^a)")
-        elif p % 12 == 5:
-            t1s = t_prime_powers(0, p, exponent_bound, chi)
-            t2s = t_prime_powers(t2, p, exponent_bound, chi)
-            for a in range(2, exponent_bound + 1, 2):
-                if t1s[a] == t2s[a]:
-                    yield (p, a, "t1(p^a) = t2(p^a)")
-        else:  # p = 7 (mod 12)
-            t1s = t_prime_powers(t1, p, exponent_bound, chi)
-            t2s = t_prime_powers(0, p, exponent_bound, chi)
-            for a in range(2, exponent_bound + 1, 2):
-                if t1s[a].b != 0:
-                    yield (p, a, "t1(p^a) not rational at even a")
-                if t1s[a].a == t2s[a]:
-                    yield (p, a, "t1(p^a) = t2(p^a)")
-
-    return _entry("t1-t2-difference-nonvanishing", prime_bound, exponent_bound, (1, 5, 7),
-                  claims)
+def _difference_nonvanishing(p: int, spot: bool, t1: AlgInt3, t2: int,
+                             exponent_bound: int) -> Iterator[Witness]:
+    if p % 12 == 1:
+        v1, v2 = t1.a, t2
+        if v1 % 2 != 0 or (v1 // 2) % 2 != 1:
+            yield (p, 1, "t1(p) is not twice an odd integer")
+        if v2 % 2 != 0 or (v2 // 2) % 2 != 1:
+            yield (p, 1, "t2(p) is not twice an odd integer")
+        a0, b0 = v1 // 2, v2 // 2
+        t1s = t_prime_powers(v1, p, max(2, exponent_bound))
+        t2s = t_prime_powers(v2, p, max(2, exponent_bound))
+        if t1s[2] - t2s[2] != 4 * (a0 * a0 - b0 * b0):
+            yield (p, 2, "t1(p^2) - t2(p^2) != 4(a0^2 - b0^2)")
+        for a in range(1, exponent_bound + 1):
+            if t1s[a] == t2s[a]:
+                yield (p, a, "t1(p^a) = t2(p^a)")
+    elif p % 12 == 5:
+        t1s = t_prime_powers(0, p, exponent_bound)
+        t2s = t_prime_powers(t2, p, exponent_bound)
+        for a in range(2, exponent_bound + 1, 2):
+            if t1s[a] == t2s[a]:
+                yield (p, a, "t1(p^a) = t2(p^a)")
+    else:  # p = 7 (mod 12)
+        t1s = t_prime_powers(t1, p, exponent_bound)
+        t2s = t_prime_powers(0, p, exponent_bound)
+        for a in range(2, exponent_bound + 1, 2):
+            if t1s[a].b != 0:
+                yield (p, a, "t1(p^a) not rational at even a")
+            if t1s[a].a == t2s[a]:
+                yield (p, a, "t1(p^a) = t2(p^a)")
 
 
 def verify_difference_nonvanishing(
@@ -358,7 +347,17 @@ def verify_difference_nonvanishing(
     p = 7 (mod 12) the difference is checked at even exponents, where
     both values are rational integers.
     """
-    return _sweep(prime_bound, [_difference_nonvanishing(prime_bound, exponent_bound)])[0]
+    return _sweep(prime_bound, {_difference_nonvanishing: exponent_bound})[0]
+
+
+# (claims, prop_id, residue classes mod 12) of each verifier, in run_all's order
+_VERIFIERS: tuple[tuple[Claims, str, tuple[int, ...]], ...] = (
+    (_t2_at_5_mod_12, "t2-divisibility-5mod12", (5,)),
+    (_t1_at_7_mod_12, "t1-divisibility-7mod12", (7,)),
+    (_split_at_1_mod_12, "divisibility-1mod12", (1,)),
+    (_periodicity, "periodicity-1mod12", (1,)),
+    (_difference_nonvanishing, "t1-t2-difference-nonvanishing", (1, 5, 7)),
+)
 
 
 def run_all(
@@ -367,13 +366,9 @@ def run_all(
     l_bound: int = DEFAULT_L_BOUND,
 ) -> list[PropReport]:
     """Run every verifier at the given bounds, in a fixed order."""
-    return _sweep(prime_bound, [
-        _t2_at_5_mod_12(prime_bound, exponent_bound),
-        _t1_at_7_mod_12(prime_bound, exponent_bound),
-        _split_at_1_mod_12(prime_bound, exponent_bound),
-        _periodicity(prime_bound, l_bound),
-        _difference_nonvanishing(prime_bound, exponent_bound),
-    ])
+    bounds = (exponent_bound, exponent_bound, exponent_bound, l_bound, exponent_bound)
+    return _sweep(prime_bound, {claims: bound
+                                for (claims, _, _), bound in zip(_VERIFIERS, bounds)})
 
 
 def report_record(report: PropReport) -> dict:

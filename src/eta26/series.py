@@ -49,30 +49,23 @@ class PowerSeries:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
 
-def _pentagonal_coeffs(order: int) -> list[int]:
-    # Euler: prod(1 - q^m) = sum_k (-1)^k q^(k(3k +/- 1)/2)
-    out = [0] * (order + 1)
-    out[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > order and g2 > order:
-            break
-        sign = -1 if k % 2 else 1
-        if g1 <= order:
-            out[g1] = sign
-        if g2 <= order:
-            out[g2] = sign
-        k += 1
-    return out
+def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
+    """The nonzero (k, g_k) with k <= order of prod(1 - q^m), k ascending.
+
+    Euler: prod(1 - q^m) = sum_j (-1)^j q^(j(3j +/- 1)/2), O(sqrt(order)) terms.
+    """
+    return [(0, 1)] + [(k, -1 if j % 2 else 1) for j in range(1, math.isqrt(order) + 2)
+                       for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if k <= order]
 
 
 def pentagonal_series(order: int) -> PowerSeries:
     """Sparse pentagonal-number expansion of prod(1 - q^m), exact to order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return PowerSeries(1, order, tuple(_pentagonal_coeffs(order)))
+    out = [0] * (order + 1)
+    for k, g in _pentagonal_terms(order):
+        out[k] = g
+    return PowerSeries(1, order, tuple(out))
 
 
 def jacobi_series(order: int) -> PowerSeries:
@@ -90,8 +83,7 @@ def jacobi_series(order: int) -> PowerSeries:
 def _recurrence_terms(order: int) -> int:
     """Terms the recurrence sums up to order: the sum of order - k + 1 over
     the nonzero pentagonal k with 0 < k <= order, in O(sqrt(order)) steps."""
-    pent = (j * (3 * j + s) // 2 for j in range(1, math.isqrt(order) + 2) for s in (-1, 1))
-    return sum(order - k + 1 for k in pent if k <= order)
+    return sum(order - k + 1 for k, _ in _pentagonal_terms(order)[1:])
 
 
 def _check_budget(total: int, budget_mb: int, context: str) -> None:
@@ -131,7 +123,7 @@ def eta_power_series(r: int, order: int, budget_mb: int = DEFAULT_BUDGET_MB) -> 
         raise SeriesBudgetError(
             f"{context}: recurrence needs {terms} terms, budget is {TERM_BUDGET} terms"
         )
-    pent = [(k, g) for k, g in enumerate(_pentagonal_coeffs(order)) if g][1:]
+    pent = _pentagonal_terms(order)[1:]
     f = [0] * (order + 1)
     f[0] = 1
     for n in range(1, order + 1):

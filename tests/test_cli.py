@@ -135,9 +135,11 @@ def test_usage_errors_exit_1(capsys):
         ["mt-check", "30", "0", "1"],
         ["verify-props", "--prime-bound", "3"],
         ["verify-props", "--prime-bound", "12"],
+        ["verify-props", "--prime-bound", "13"],
         ["verify-props", "--exp-bound", "-3"],
         ["verify-props", "--l-bound", "-1"],
         ["selftest", "--prime-bound", "3"],
+        ["selftest", "--prime-bound", "13"],
         ["selftest", "--limit", "-1"],
         ["selftest", "--budget-mb", "0"],
         ["coeff", "5", "--budget-mb", "-1"],

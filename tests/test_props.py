@@ -49,11 +49,11 @@ def test_t1_divisibility_values():
 
 
 def test_split_divisibility_values():
-    assert t_prime_power(t2_prime(13), 13, 4, 1) % 5 == 0
-    assert t_prime_power(t2_prime(13), 13, 3, 1) % 5 != 0
-    assert t_prime_power(t1_prime(13).a, 13, 6, 1) % 7 == 0
-    assert t_prime_power(t1_prime(13).a, 13, 5, 1) % 7 != 0
-    assert t_prime_power(t2_prime(13), 13, 0, 1) == 1
+    assert t_prime_power(t2_prime(13), 13, 4) % 5 == 0
+    assert t_prime_power(t2_prime(13), 13, 3) % 5 != 0
+    assert t_prime_power(t1_prime(13).a, 13, 6) % 7 == 0
+    assert t_prime_power(t1_prime(13).a, 13, 5) % 7 != 0
+    assert t_prime_power(t2_prime(13), 13, 0) == 1
     report = verify_split_at_1_mod_12(800, 14)
     assert report.ok and report.checked > 0
 
@@ -62,14 +62,14 @@ def test_periodicity_direct_at_13():
     v = t2_prime(13)
     sign = 1 if v % 5 == 2 else -1
     for k in range(6):
-        lhs = t_prime_power(v, 13, 5 + k, 1) % 5
-        rhs = (sign * t_prime_power(v, 13, k, 1)) % 5
+        lhs = t_prime_power(v, 13, 5 + k) % 5
+        rhs = (sign * t_prime_power(v, 13, k)) % 5
         assert lhs == rhs
     u = t1_prime(13).a
     sign = 1 if u % 7 == 2 else -1
     for k in range(8):
-        lhs = t_prime_power(u, 13, 7 + k, 1) % 7
-        rhs = (sign * t_prime_power(u, 13, k, 1)) % 7
+        lhs = t_prime_power(u, 13, 7 + k) % 7
+        rhs = (sign * t_prime_power(u, 13, k)) % 7
         assert lhs == rhs
 
 
@@ -82,10 +82,10 @@ def test_difference_nonvanishing_values():
     assert t1_prime(13).a - t2_prime(13) == 16308864
     a0 = t1_prime(13).a // 2
     b0 = t2_prime(13) // 2
-    d2 = t_prime_power(t1_prime(13).a, 13, 2, 1) - t_prime_power(t2_prime(13), 13, 2, 1)
+    d2 = t_prime_power(t1_prime(13).a, 13, 2) - t_prime_power(t2_prime(13), 13, 2)
     assert d2 == 4 * (a0 * a0 - b0 * b0)
     # at p = 5: t1(25) = -5^12 and t2(25) = t2(5)^2 - 5^12
-    d = t_prime_power(0, 5, 2, 1) - t_prime_power(t2_prime(5), 5, 2, 1)
+    d = t_prime_power(0, 5, 2) - t_prime_power(t2_prime(5), 5, 2)
     assert d == -(20592**2) == -424030464
     report = verify_difference_nonvanishing(400, 8)
     assert report.ok and report.checked > 0
@@ -207,13 +207,14 @@ def test_negative_bounds_raise():
     for verify in VERIFIERS:
         with pytest.raises(ValueError):
             verify(100, -1)
-    # a prime bound below the least prime of a verifier's classes is refused
-    # rather than reported as ok with nothing checked
+    # a prime bound at or below the least prime of a verifier's classes is
+    # refused rather than reported as ok with nothing checked
     for verify, least in ((verify_t2_at_5_mod_12, 5), (verify_t1_at_7_mod_12, 7),
                           (verify_split_at_1_mod_12, 13), (verify_periodicity, 13),
                           (verify_difference_nonvanishing, 5)):
-        with pytest.raises(ValueError, match=f"prime_bound must be >= {least}"):
-            verify(least - 1, 3)
+        for prime_bound in (least - 1, least):
+            with pytest.raises(ValueError, match=f"prime_bound must be > {least}$"):
+                verify(prime_bound, 3)
         report = verify(least + 1, 3)
         assert report.ok and report.checked == 1
     for bounds in ((100, -1, 1), (100, 1, -1)):
@@ -252,18 +253,17 @@ def test_reduced_recursion_matches_exact_below_2000():
     for p in primes_below(2000):
         if p % 12 not in (1, 5, 7):
             continue
-        chi = 1 if p % 4 == 1 else -1
         for t in (t1_prime(p), t2_prime(p)):
-            exact = t_prime_powers(t, p, 30, chi)
+            exact = t_prime_powers(t, p, 30)
             for q in (5, 7):
-                assert props._residues(t, p, 30, q, chi) == _pairs(exact, q), (p, t, q)
+                assert props._residues(t, p, 30, q) == _pairs(exact, q), (p, t, q)
 
 
 def test_perturbed_reduced_recursion_is_reported(monkeypatch):
     real = props._residues
 
-    def perturbed(t_p, p, alpha_max, q, chi):
-        out = real(t_p, p, alpha_max, q, chi)
+    def perturbed(t_p, p, alpha_max, q):
+        out = real(t_p, p, alpha_max, q)
         a, b = out[2]
         out[2] = ((a + 1) % q, b)
         return out
@@ -301,7 +301,7 @@ def test_shared_reduced_sequences_match_a_reference_below_2000():
         for t in (t1_prime(p), t2_prime(p)):
             for q in (5, 7):
                 for length in range(31):
-                    assert props._residues(t, p, length, q, chi) == _reference_reduced(
+                    assert props._residues(t, p, length, q) == _reference_reduced(
                         t, p, length, q, chi), (p, t, q, length)
 
 
@@ -316,11 +316,11 @@ def test_reduced_memo_holds_one_sequence_per_residue_state():
 
 def test_editing_a_returned_sequence_leaves_the_memo_intact():
     t = t2_prime(13)
-    first = props._residues(t, 13, 10, 5, 1)
+    first = props._residues(t, 13, 10, 5)
     expected = list(first)
     first[2] = ((first[2][0] + 1) % 5, first[2][1])
     first.append((9, 9))
-    assert props._residues(t, 13, 10, 5, 1) == expected
+    assert props._residues(t, 13, 10, 5) == expected
 
 
 def _object_recursion(t_p, p, alpha_max, chi):
@@ -337,7 +337,7 @@ def _object_recursion(t_p, p, alpha_max, chi):
        st.integers(0, 30))
 def test_pair_recursion_matches_the_object_recursion(a, b, p, alpha):
     chi = 1 if p % 4 == 1 else -1
-    got = t_prime_powers(AlgInt3(a, b), p, alpha, chi)
+    got = t_prime_powers(AlgInt3(a, b), p, alpha)
     assert got == _object_recursion(AlgInt3(a, b), p, alpha, chi)
     assert all(type(v) is AlgInt3 for v in got)
 

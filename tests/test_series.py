@@ -227,16 +227,16 @@ def test_term_count_matches_the_loop_for_orders_to_2000(monkeypatch):
             terms[0] += 1
             return other * int(self)
 
-    real_pent = series._pentagonal_coeffs
+    real_pent = series._pentagonal_terms
 
     def counting_pent(order):
-        return [CountingCoeff(g) if g else 0 for g in real_pent(order)]
+        return [(k, CountingCoeff(g)) for k, g in real_pent(order)]
 
     def counting_divmod(a, b):
         at_order.append(terms[0])
         return divmod(a, b)
 
-    monkeypatch.setattr(series, "_pentagonal_coeffs", counting_pent)
+    monkeypatch.setattr(series, "_pentagonal_terms", counting_pent)
     monkeypatch.setattr(series, "divmod", counting_divmod, raising=False)
     eta_power_series(26, 2000)
     assert len(at_order) == 2001
