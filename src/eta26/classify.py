@@ -3,7 +3,9 @@
 Two sufficient conditions force p26(n) = 0:
 
   cond I  : some prime = 3 (mod 4) divides m = 12n + 13 to an odd power,
-            and some prime = 2 (mod 3) does too;
+            and some prime = 2 (mod 3) does too; as m is prime to 6, these
+            are the classes {7, 11} and {5, 11} mod 12, so cond I says that
+            the classes of the primes dividing m to an odd power meet both;
   cond II : m is a perfect square all of whose prime factors are
             = 11 (mod 12).
 
@@ -73,8 +75,13 @@ class VanishingReport:
     profile: ConditionProfile
     p26_value: int
     predicted: str
-    consistent: bool
     explanation: tuple[str, ...]
+
+    @property
+    def consistent(self) -> bool:
+        """The prediction, if any, matches whether p26_value is zero."""
+        return self.predicted == PREDICT_NONE or (
+            (self.p26_value == 0) == (self.predicted == PREDICT_ZERO))
 
 
 def _exponent_gate(fac: Factorization, q: int) -> bool:
@@ -83,23 +90,22 @@ def _exponent_gate(fac: Factorization, q: int) -> bool:
 
 
 def _profile(n: int, fac: Factorization) -> ConditionProfile:
-    odd = [(p, e) for p, e in fac if e % 2 == 1]
-    has_3mod4_odd = any(p % 4 == 3 for p, _ in odd)
-    has_2mod3_odd = any(p % 3 == 2 for p, _ in odd)
-    witness = any(p % 12 != 11 for p, _ in fac)
-    even_shape = all(e % 2 == 0 for p, e in fac if p % 12 in (5, 7, 11))
+    # classes mod 12, which fix those mod 4 and mod 3 as m is prime to 6
+    classes = {p % 12 for p, _ in fac}
+    odd = {p % 12 for p, e in fac if e % 2}
+    witness = bool(classes - {11})
+    even_shape = not odd & {5, 7, 11}
     prof = ConditionProfile(
         n=n, m=fac.value, factorization=fac,
-        cond_i=has_3mod4_odd and has_2mod3_odd,
-        cond_ii=fac.is_square and bool(fac.factors)
-        and all(p % 12 == 11 for p, _ in fac),
-        n1=not has_3mod4_odd and witness,
-        n2=not has_2mod3_odd and witness,
-        prime_power=len(fac.factors) == 1 and fac.factors[0][0] % 12 != 11,
-        odd_exp_5=not has_3mod4_odd and any(p % 12 == 5 for p, _ in odd),
+        cond_i=bool(odd & {7, 11} and odd & {5, 11}),
+        cond_ii=not odd and classes == {11},
+        n1=witness and not odd & {7, 11},
+        n2=witness and not odd & {5, 11},
+        prime_power=len(fac.factors) == 1 and witness,
+        odd_exp_5=5 in odd and not odd & {7, 11},
         div_25=even_shape and fac.value % 25 == 0 and _exponent_gate(fac, 5),
         div_49=even_shape and fac.value % 49 == 0 and _exponent_gate(fac, 7),
-        odd_exp_7=not has_2mod3_odd and any(p % 12 == 7 for p, _ in odd),
+        odd_exp_7=7 in odd and not odd & {5, 11},
     )
     # logically impossible combinations; a violation means the flag
     # computation itself is broken
@@ -142,22 +148,9 @@ def apply_theorems(n: int) -> VanishingReport:
         raise ConsistencyError(
             f"contradictory predictions at n={n}: {zero_hits} vs {nonzero_hits}"
         )
-    if zero_hits:
-        predicted = PREDICT_ZERO
-        consistent = value == 0
-    elif nonzero_hits:
-        predicted = PREDICT_NONZERO
-        consistent = value != 0
-    else:
-        predicted = PREDICT_NONE
-        consistent = True
-    return VanishingReport(
-        profile=prof,
-        p26_value=value,
-        predicted=predicted,
-        consistent=consistent,
-        explanation=zero_hits + nonzero_hits,
-    )
+    predicted = (PREDICT_ZERO if zero_hits
+                 else PREDICT_NONZERO if nonzero_hits else PREDICT_NONE)
+    return VanishingReport(prof, value, predicted, zero_hits + nonzero_hits)
 
 
 def check_family(mult: int, n: int) -> VanishingReport:
@@ -179,16 +172,9 @@ def check_family(mult: int, n: int) -> VanishingReport:
     q, offset = FAMILIES[mult], (mult - 13) // 12
     prof, value = _evaluate(mult * n + offset)
     if not _exponent_gate(prof.factorization, q):
-        return VanishingReport(
-            prof, value, PREDICT_NONE, True, (f"mod-{q}-exponent-gate-failed",)
-        )
-    return VanishingReport(
-        prof,
-        value,
-        PREDICT_ZERO if prof.cond_i else PREDICT_NONZERO,
-        (value == 0) == prof.cond_i,
-        (f"iff-{mult}n-plus-{offset}",),
-    )
+        return VanishingReport(prof, value, PREDICT_NONE, (f"mod-{q}-exponent-gate-failed",))
+    predicted = PREDICT_ZERO if prof.cond_i else PREDICT_NONZERO
+    return VanishingReport(prof, value, predicted, (f"iff-{mult}n-plus-{offset}",))
 
 
 def check_25n_plus_1(n: int) -> VanishingReport:

@@ -3,9 +3,9 @@
 Commands: coeff, classify, scan, verify-props, mt-check, selftest.  Each
 argument's bounds are checked by its argparse type, before any command runs.
 
-Exit status: 0 on success, 1 on usage/resource errors, 2 on an internal
-consistency red flag (cm/series mismatch, inexact division, verifier
-failures, a violated biconditional, or an unexplained zero).
+Exit status: 0 on success, 1 on usage/resource errors or a closed stdout, 2 on
+an internal consistency red flag (cm/series mismatch, inexact division,
+verifier failures, a violated biconditional, or an unexplained zero).
 
 Machine-readable output (json, csv) is stable and deterministic: records
 are emitted in index order and big integers are decimal strings.  Text
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Iterable, TypeVar
 
@@ -82,7 +83,8 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 
 def _add_props_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prime-bound", type=_at_least(14), default=props.DEFAULT_PRIME_BOUND)
+    p.add_argument("--prime-bound", type=_at_least(props.MIN_PRIME_BOUND),
+                   default=props.DEFAULT_PRIME_BOUND)
     p.add_argument("--exp-bound", type=_at_least(0), default=props.DEFAULT_EXPONENT_BOUND)
     p.add_argument("--l-bound", type=_at_least(0), default=props.DEFAULT_L_BOUND)
 
@@ -306,7 +308,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed stdout raises here, not at shutdown
+    except BrokenPipeError:  # the reader closed stdout, as `eta26 scan ... | head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -110,6 +110,7 @@ def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int) -> bool:
 
 # the least prime of each residue class mod 12 that a verifier sweeps
 _LEAST_PRIME = {1: 13, 5: 5, 7: 7}
+MIN_PRIME_BOUND = max(_LEAST_PRIME.values()) + 1  # the least bound every verifier takes
 
 
 def _sweep(prime_bound: int, bounds: dict[Claims, int]) -> list[PropReport]:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from functools import partial
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,11 @@ from eta26 import (
     profile,
     scan,
 )
-from eta26.arith import factorize
+from eta26.arith import Factorization, factorize
 from eta26.classify import (
     CSV_HEADER,
     FAMILIES,
+    ConditionProfile,
     PREDICT_NONE,
     PREDICT_NONZERO,
     PREDICT_ZERO,
@@ -52,6 +55,49 @@ def test_profile_rejects_negative():
         profile(-1)
 
 
+def _reference_profile(n, fac):
+    """The flags read prime by prime, with tests mod 4, mod 3 and mod 12."""
+    odd = [(p, e) for p, e in fac if e % 2 == 1]
+    has_3mod4_odd = any(p % 4 == 3 for p, _ in odd)
+    has_2mod3_odd = any(p % 3 == 2 for p, _ in odd)
+    witness = any(p % 12 != 11 for p, _ in fac)
+    even_shape = all(e % 2 == 0 for p, e in fac if p % 12 in (5, 7, 11))
+    gate = {q: all(e % q != q - 1 for p, e in fac if p % 12 == 1) for q in (5, 7)}
+    return ConditionProfile(
+        n=n, m=fac.value, factorization=fac,
+        cond_i=has_3mod4_odd and has_2mod3_odd,
+        cond_ii=fac.is_square and bool(fac.factors)
+        and all(p % 12 == 11 for p, _ in fac),
+        n1=not has_3mod4_odd and witness,
+        n2=not has_2mod3_odd and witness,
+        prime_power=len(fac.factors) == 1 and fac.factors[0][0] % 12 != 11,
+        odd_exp_5=not has_3mod4_odd and any(p % 12 == 5 for p, _ in odd),
+        div_25=even_shape and fac.value % 25 == 0 and gate[5],
+        div_49=even_shape and fac.value % 49 == 0 and gate[7],
+        odd_exp_7=not has_2mod3_odd and any(p % 12 == 7 for p, _ in odd),
+    )
+
+
+def test_profile_matches_reference_to_30000():
+    for n in range(30001):
+        prof = profile(n)
+        assert prof == _reference_profile(n, prof.factorization), n
+
+
+# four primes of each class mod 12 that a prime dividing 12n + 13 can have
+_PRIMES_BY_CLASS = (13, 37, 61, 73, 5, 17, 29, 41, 7, 19, 31, 43, 11, 23, 47, 59)
+
+
+@given(st.dictionaries(st.sampled_from(_PRIMES_BY_CLASS), st.integers(1, 6),
+                       max_size=6))
+@settings(max_examples=300)
+def test_profile_matches_reference_on_built_factorizations(exponents):
+    # the class form needs only primes prime to 6, not m = 1 (mod 12)
+    factors = tuple(sorted(exponents.items()))
+    fac = Factorization(prod(p**e for p, e in factors), factors)
+    assert classify_mod._profile(0, fac) == _reference_profile(0, fac)
+
+
 def test_apply_theorems_examples():
     rep = apply_theorems(0)
     assert rep.predicted == PREDICT_NONZERO
@@ -72,6 +118,26 @@ def test_apply_theorems_examples():
     assert rep.predicted == PREDICT_ZERO
     assert rep.explanation == ("cond-I",)
     assert rep.p26_value == 0 and rep.consistent
+
+
+def _reference_consistent(report):
+    """The rule as three branches: a zero rule, else a nonzero rule, else none."""
+    prof = report.profile
+    if prof.cond_i or prof.cond_ii:
+        return report.p26_value == 0
+    if prof.prime_power or prof.odd_exp_5 or prof.div_25 or prof.div_49 or prof.odd_exp_7:
+        return report.p26_value != 0
+    return True
+
+
+def test_consistent_matches_three_branch_rule_to_5000():
+    reports, _ = scan(0, 5000)
+    for rep in reports:
+        # the computed value, and a wrong one, which every prediction contradicts
+        wrong = dataclasses.replace(rep, p26_value=int(rep.p26_value == 0))
+        assert rep.consistent == _reference_consistent(rep), rep.profile.n
+        assert wrong.consistent == _reference_consistent(wrong), rep.profile.n
+        assert wrong.consistent == (rep.predicted == PREDICT_NONE)
 
 
 def test_no_prediction_outside_hypotheses():
@@ -160,18 +226,21 @@ def _reference_check_family(mult, n):
     prof = profile(mult * n + offset)
     value = p26_cm(mult * n + offset)
     if any(e % q == q - 1 for p, e in base if p % 12 == 1):
-        return VanishingReport(
-            prof, value, PREDICT_NONE, True, (f"mod-{q}-exponent-gate-failed",)
+        report = VanishingReport(
+            prof, value, PREDICT_NONE, (f"mod-{q}-exponent-gate-failed",)
         )
+        assert report.consistent
+        return report
     odd = [p for p, e in base if e % 2 == 1]
     rhs = any(p % 4 == 3 for p in odd) and any(p % 3 == 2 for p in odd)
-    return VanishingReport(
+    report = VanishingReport(
         prof,
         value,
         PREDICT_ZERO if rhs else PREDICT_NONZERO,
-        (value == 0) == rhs,
         (f"iff-{mult}n-plus-{offset}",),
     )
+    assert report.consistent == ((value == 0) == rhs), n
+    return report
 
 
 def test_families_derive_offset_from_mult():

@@ -265,10 +265,16 @@ def test_golden_selftest_bytes(capsys):
     assert out.encode() == (GOLDEN / f"{'-'.join(argv)}.text").read_bytes()
 
 
-def test_module_entry_point():
+def _module_env():
+    """The environment for `python -m eta26.cli` on this checkout's src/."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
+    env = _module_env()
 
     def eta26(*argv):
         return subprocess.run([sys.executable, "-m", "eta26.cli", *argv],
@@ -281,6 +287,19 @@ def test_module_entry_point():
     assert bad.returncode == 1
     assert bad.stderr.startswith("error: ")
     assert bad.stdout == ""
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader stops after one record, as `eta26 scan 0 20000 | head -1` does
+    argv = [sys.executable, "-m", "eta26.cli", "scan", "0", "20000", "--output", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_module_env()) as proc:
+        assert proc.stdout.readline().startswith(b'{"n":0,')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_USAGE
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize("argv, evaluator, last", [
@@ -378,7 +397,7 @@ def _spoil(monkeypatch, evaluator, at, profile=(), **changes):
 def test_scan_red_flag_stderr(monkeypatch, capsys, fmt, summary_err):
     # n = 9 (m = 121) is a cond-II zero: hide cond II, and flag n = 20
     _spoil(monkeypatch, "apply_theorems", 9, profile={"cond_ii": False})
-    _spoil(monkeypatch, "apply_theorems", 20, consistent=False)
+    _spoil(monkeypatch, "apply_theorems", 20, predicted="nonzero")  # p26(20) = 0
     code, out, err = run(capsys, ["scan", "0", "30", "--output", fmt])
     assert code == 2
     assert err == (summary_err + "red flag: 1 inconsistent reports, "
@@ -390,7 +409,7 @@ def test_scan_red_flag_stderr(monkeypatch, capsys, fmt, summary_err):
 
 
 def test_mt_check_violation_stderr_and_summary(monkeypatch, capsys):
-    _spoil(monkeypatch, "check_family", 3, consistent=False)
+    _spoil(monkeypatch, "check_family", 3, predicted="zero")  # 12n + 1 = 37, nonzero
     code, out, err = run(capsys, ["mt-check", "25", "0", "10", "--output", "json"])
     assert code == 2
     assert err == "red flag: biconditional violated at n=[76]\n"
