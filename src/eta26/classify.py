@@ -199,8 +199,9 @@ class ScanSummary:
 class RangeStream:
     """evaluate(n) for n in [start, end], in index order, counted as it is read.
 
-    Read it once; the counters then summarize it with no second pass.  The
-    index lists hold each report's profile.n.  Callers check the bounds.
+    Read it once; the counters then summarize it with no second pass.  A
+    zero is explained when its report predicts zero.  The index lists hold
+    each report's profile.n.  Callers check the bounds.
     """
 
     def __init__(self, evaluate: Callable[[int], VanishingReport],
@@ -216,7 +217,7 @@ class RangeStream:
             self.gated += report.predicted != PREDICT_NONE
             if report.p26_value == 0:
                 self.zero_count += 1
-                if prof.cond_i or prof.cond_ii:
+                if report.predicted == PREDICT_ZERO:
                     self.explained += 1
                 else:
                     self.unexplained.append(prof.n)

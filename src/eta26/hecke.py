@@ -9,15 +9,14 @@ two-term recursion at prime powers.  t1 values live in Z[sqrt(-3)]
 (AlgInt3 below), t2 values in Z; every computation is exact integer
 arithmetic, no floating point anywhere.
 
-Prime values by residue class of p (mod 12):
+Prime values by residue class of p (mod 12), read off the twelfth powers
+pi^12 = (x + iy)^12 and rho^12 = (z + w*sqrt(-3))^12 of the normalized
+x^2 + y^2 = p and z^2 + 3w^2 = p (_pow12):
   * 11: both t1 and t2 vanish at p (p inert on both sides).
-  *  7: t2(p) = 0; t1(p) = h(z, w) * sqrt(-3) for the normalized
-        z^2 + 3w^2 = p, with h an odd degree-12 form.
-  *  5: t1(p) = 0; t2(p) is an odd degree-12 form in the normalized
-        x^2 + y^2 = p.
-  *  1: both are (up to one shared sign) even degree-12 forms; the sign
-        comes from the representation's sign_plus bit, and the + and -
-        branches coincide.
+  *  7: t2(p) = 0; t1(p) = -2 Im(rho^12) * sqrt(-3).
+  *  5: t1(p) = 0; t2(p) = 2 Im(pi^12).
+  *  1: t1(p) = +/-2 Re(rho^12), t2(p) = +/-2 Re(pi^12), each sign from
+        its representation's sign_plus bit; the + and - branches coincide.
 
 All functions are pure.  Prime values come from one core, _prime_values, on
 primes already certified; it caches only primes below TRIAL_DIVISION_BOUND.
@@ -25,7 +24,7 @@ primes already certified; it caches only primes below TRIAL_DIVISION_BOUND.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TypeVar
 
 from .arith import TRIAL_DIVISION_BOUND, Factorization, factorize, is_prime
@@ -74,24 +73,12 @@ class AlgInt3:
         return self.b == 0
 
 
-# Even part of (x+iy)^12 + conj: 2 * sum _GAUSS_EVEN[k] x^(12-2k) y^(2k)
-_GAUSS_EVEN = (1, -66, 495, -924, 495, -66, 1)
-# Odd form -i(x+iy)^12 + i(x-iy)^12 = 2 * sum _GAUSS_ODD[k] x^(11-2k) y^(2k+1)
-_GAUSS_ODD = (12, -220, 792, -792, 220, -12)
-# (z+w*sqrt(-3))^12 + conj = sum _EIS_EVEN[k] z^(12-2k) w^(2k)
-_EIS_EVEN = (2, -396, 8910, -49896, 80190, -32076, 1458)
-# -(z+w*sqrt(-3))^12 + conj = sqrt(-3) * sum _EIS_ODD[k] z^(11-2k) w^(2k+1)
-_EIS_ODD = (-24, 1320, -14256, 42768, -35640, 5832)
-
-
-def _poly_eval(coeffs: tuple[int, ...], u: int, v: int, odd: bool) -> int:
-    """sum coeffs[k] * u^(deg-2k) * v^(2k+1 if odd else 2k), deg = 11 or 12, by Horner."""
-    uu, vv = u * u, v * v
-    acc, vk = coeffs[0], 1
-    for c in coeffs[1:]:
-        vk *= vv
-        acc = acc * uu + c * vk
-    return acc * u * v if odd else acc
+def _pow12(u: int, v: int, d: int) -> tuple[int, int]:
+    """(re, im) of (u + v*sqrt(-d))^12: square twice, then cube."""
+    for _ in range(2):
+        u, v = u * u - d * v * v, 2 * u * v
+    uu, dvv = u * u, d * v * v
+    return u * (uu - 3 * dvv), v * (3 * uu - dvv)
 
 
 _SMALL_VALUES: dict[int, tuple[int, int, int]] = {}
@@ -106,14 +93,14 @@ def _prime_values(p: int) -> tuple[int, int, int]:
         values = (0, 0, 0)
     elif r == 5:
         g = _gauss_rep(p)
-        values = (0, 0, 2 * _poly_eval(_GAUSS_ODD, g.x, g.y, odd=True))
+        values = (0, 0, 2 * _pow12(g.x, g.y, 1)[1])
     elif r == 7:
         e = _eis_rep(p)
-        values = (0, _poly_eval(_EIS_ODD, e.z, e.w, odd=True), 0)
+        values = (0, -2 * _pow12(e.z, e.w, 3)[1], 0)
     else:
         g, e = _gauss_rep(p), _eis_rep(p)
-        t1 = _poly_eval(_EIS_EVEN, e.z, e.w, odd=False)
-        t2 = 2 * _poly_eval(_GAUSS_EVEN, g.x, g.y, odd=False)
+        t1 = 2 * _pow12(e.z, e.w, 3)[0]
+        t2 = 2 * _pow12(g.x, g.y, 1)[0]
         values = (t1 if e.sign_plus else -t1, 0, t2 if g.sign_plus else -t2)
     if p < TRIAL_DIVISION_BOUND:
         _SMALL_VALUES[p] = values
@@ -178,21 +165,41 @@ def t_prime_power(t_p: T, p: int, alpha: int) -> T:
 class CoeffBundle:
     """The four coefficient values at one m = 1 mod 12.
 
-    t1p + t1m is always a rational integer, and the combination
-    t1p + t1m - t2p - t2m is exactly divisible by P26_DENOMINATOR;
-    coeff_bundle enforces both and stores the quotient as p26.  The
-    factorization of m it was built from is kept for reuse.
+    t1m and t2m are t1p and t2p, negated when flip_1 and flip_2 are set.
+    Construction checks that t1p + t1m is rational and that combination()
+    is exactly divisible by P26_DENOMINATOR (ConsistencyError otherwise)
+    and stores the quotient as p26.  The factorization of m is kept for reuse.
     """
 
     m: int
     factorization: Factorization
     t1p: AlgInt3
-    t1m: AlgInt3
     t2p: int
-    t2m: int
-    p26: int
+    flip_1: bool
+    flip_2: bool
+    p26: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        check = self.combination()
+        if check.b != 0:
+            raise ConsistencyError(
+                f"t1p + t1m not rational at m={self.m}: {self.t1p} + {self.t1m}")
+        p26, rem = divmod(check.a, P26_DENOMINATOR)
+        if rem != 0:
+            raise ConsistencyError(
+                f"combination {check.a} at m={self.m} not divisible by {P26_DENOMINATOR}")
+        object.__setattr__(self, "p26", p26)
+
+    @property
+    def t1m(self) -> AlgInt3:
+        return -self.t1p if self.flip_1 else self.t1p
+
+    @property
+    def t2m(self) -> int:
+        return -self.t2p if self.flip_2 else self.t2p
 
     def combination(self) -> AlgInt3:
+        """t1p + t1m - t2p - t2m, the multiple of P26_DENOMINATOR p26 is read from."""
         return self.t1p + self.t1m - AlgInt3(self.t2p + self.t2m, 0)
 
 
@@ -218,18 +225,7 @@ def coeff_bundle(m: int) -> CoeffBundle:
         t2p *= t2
         flip_1 ^= alpha % 2 == 1 and p % 12 == 7
         flip_2 ^= alpha % 2 == 1 and p % 12 == 5
-    t1p = AlgInt3(a, b)
-    t1m = -t1p if flip_1 else t1p
-    t2m = -t2p if flip_2 else t2p
-    check = t1p + t1m - AlgInt3(t2p + t2m, 0)
-    if check.b != 0:
-        raise ConsistencyError(f"t1p + t1m not rational at m={m}: {t1p} + {t1m}")
-    p26, rem = divmod(check.a, P26_DENOMINATOR)
-    if rem != 0:
-        raise ConsistencyError(
-            f"combination {check.a} at m={m} not divisible by {P26_DENOMINATOR}"
-        )
-    return CoeffBundle(m, fac, t1p, t1m, t2p, t2m, p26)
+    return CoeffBundle(m, fac, AlgInt3(a, b), t2p, flip_1, flip_2)
 
 
 def p26_cm(n: int) -> int:

@@ -367,9 +367,8 @@ def run_all(
     l_bound: int = DEFAULT_L_BOUND,
 ) -> list[PropReport]:
     """Run every verifier at the given bounds, in a fixed order."""
-    bounds = (exponent_bound, exponent_bound, exponent_bound, l_bound, exponent_bound)
-    return _sweep(prime_bound, {claims: bound
-                                for (claims, _, _), bound in zip(_VERIFIERS, bounds)})
+    return _sweep(prime_bound, {claims: l_bound if claims is _periodicity else exponent_bound
+                                for claims, _, _ in _VERIFIERS})
 
 
 def report_record(report: PropReport) -> dict:

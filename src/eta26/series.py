@@ -143,11 +143,11 @@ def eta_power_series(r: int, order: int, budget_mb: int = DEFAULT_BUDGET_MB) -> 
     return PowerSeries(r, order, tuple(f))
 
 
-def p26_oracle(n: int, budget_mb: int = DEFAULT_BUDGET_MB) -> int:
+def p26_oracle(n: int) -> int:
     """p26(n) read off the q-series expansion of prod(1 - q^m)^26."""
     if n < 0:
         raise ValueError("p26_oracle expects n >= 0")
-    return eta_power_series(26, n, budget_mb)[n]
+    return eta_power_series(26, n)[n]
 
 
 def write_coefficient_csv(series: PowerSeries, stream: IO[str]) -> None:

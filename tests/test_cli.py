@@ -395,9 +395,11 @@ def _spoil(monkeypatch, evaluator, at, profile=(), **changes):
     ("csv", "zeros: 2, explained: 1, unexplained: [9]\n"),
 ])
 def test_scan_red_flag_stderr(monkeypatch, capsys, fmt, summary_err):
-    # n = 9 (m = 121) is a cond-II zero: hide cond II, and flag n = 20
-    _spoil(monkeypatch, "apply_theorems", 9, profile={"cond_ii": False})
-    _spoil(monkeypatch, "apply_theorems", 20, predicted="nonzero")  # p26(20) = 0
+    # n = 9 (m = 121) is a cond-II zero: hide cond II and its zero
+    # prediction, and flag n = 1
+    _spoil(monkeypatch, "apply_theorems", 9, profile={"cond_ii": False},
+           predicted="no-prediction", explanation=())
+    _spoil(monkeypatch, "apply_theorems", 1, predicted="zero")  # p26(1) = -26
     code, out, err = run(capsys, ["scan", "0", "30", "--output", fmt])
     assert code == 2
     assert err == (summary_err + "red flag: 1 inconsistent reports, "

@@ -10,6 +10,7 @@ from eta26 import (
     AlgInt3,
     CoeffBundle,
     coeff_bundle,
+    eta_power_series,
     factorize,
     one_three_squares,
     p26_cm,
@@ -90,8 +91,8 @@ def test_values_at_13_by_direct_expansion():
     assert t2_prime(13) == -6911282
 
 
-def test_polynomial_tables_match_binomial_expansion():
-    # the hardcoded degree-12 coefficient tables against direct powers
+def test_prime_values_match_direct_twelfth_powers():
+    # the prime-value core against twelfth powers by repeated multiplication
     for p in primes_below(600):
         if p < 5:
             continue
@@ -226,11 +227,44 @@ def test_p26_rejects_negative():
 
 
 def test_oracle_equivalence_small_range():
-    from eta26 import eta_power_series
-
     table = eta_power_series(26, 300)
     for n in range(301):
         assert p26_cm(n) == table[n], n
+
+
+LIFT_LIMIT = 6000
+# the primes l = 11 (mod 12) below 400, where t1(l) = t2(l) = 0 and
+# t1(l^2) = t2(l^2) = l^12
+LIFT_PRIMES = [p for p in primes_below(400) if p % 12 == 11]
+
+
+def _lifts(l, ks):
+    """(k, n) with 12n + 13 = l^2 (12k + 13), for the k in ks with l prime to 12k + 13."""
+    return [(k, (l * l * (12 * k + 13) - 13) // 12) for k in ks if (12 * k + 13) % l]
+
+
+@pytest.fixture(scope="module")
+def lift_table():
+    return eta_power_series(26, LIFT_LIMIT)
+
+
+def test_series_lifts_by_l_squared(lift_table):
+    # p26((l^2 m - 13)/12) = l^12 p26(k) at m = 12k + 13, with both sides
+    # read off the one series table and no hecke code
+    pairs = [(l, k, n) for l in LIFT_PRIMES for k, n in _lifts(l, range(LIFT_LIMIT + 1))
+             if n <= LIFT_LIMIT]
+    assert len(pairs) == 60 and max(l for l, _, _ in pairs) == 71
+    for l, k, n in pairs:
+        assert lift_table[n] == l**12 * lift_table[k], (l, k)
+
+
+def test_cm_at_lifted_indices_equals_the_series(lift_table):
+    # the same relation reaches indices near 9e8 on the cm side
+    assert len(LIFT_PRIMES) == 19
+    pairs = [(l, k, n) for l in LIFT_PRIMES for k, n in _lifts(l, range(0, LIFT_LIMIT + 1, 16))]
+    assert len(pairs) == 7045 and max(n for _, _, n in pairs) > 8 * 10**8
+    for l, k, n in pairs:
+        assert p26_cm(n) == l**12 * lift_table[k], (l, k)
 
 
 def test_sqrt3_component_vanishes_in_combination():
@@ -285,8 +319,19 @@ def test_corrupted_t1_prime_value_raises_consistency_error(monkeypatch, da, db, 
         hecke_mod.coeff_bundle(13)
 
 
-def _poly_eval_direct(coeffs, u, v, odd):
-    """The direct power sum: every term's powers computed from scratch."""
+# The degree-12 binomial forms of (u + v*sqrt(-d))^12, written out term by term.
+# Even part of (x+iy)^12 + conj: 2 * sum _GAUSS_EVEN[k] x^(12-2k) y^(2k)
+_GAUSS_EVEN = (1, -66, 495, -924, 495, -66, 1)
+# Odd form -i(x+iy)^12 + i(x-iy)^12 = 2 * sum _GAUSS_ODD[k] x^(11-2k) y^(2k+1)
+_GAUSS_ODD = (12, -220, 792, -792, 220, -12)
+# (z+w*sqrt(-3))^12 + conj = sum _EIS_EVEN[k] z^(12-2k) w^(2k)
+_EIS_EVEN = (2, -396, 8910, -49896, 80190, -32076, 1458)
+# -(z+w*sqrt(-3))^12 + conj = sqrt(-3) * sum _EIS_ODD[k] z^(11-2k) w^(2k+1)
+_EIS_ODD = (-24, 1320, -14256, 42768, -35640, 5832)
+
+
+def _form(coeffs, u, v, odd):
+    """sum coeffs[k] * u^(deg-2k) * v^(2k+1 if odd else 2k), deg = 11 or 12."""
     top = len(coeffs) - 1
     acc = 0
     for k, c in enumerate(coeffs):
@@ -294,18 +339,23 @@ def _poly_eval_direct(coeffs, u, v, odd):
     return acc * v if odd else acc
 
 
-FORMS = (
-    (hecke_mod._GAUSS_EVEN, False),
-    (hecke_mod._GAUSS_ODD, True),
-    (hecke_mod._EIS_EVEN, False),
-    (hecke_mod._EIS_ODD, True),
-)
-
-
 @given(st.integers(-10**7 + 1, 10**7 - 1), st.integers(-10**7 + 1, 10**7 - 1))
-def test_horner_forms_match_the_direct_power_sum(u, v):
-    for coeffs, odd in FORMS:
-        assert hecke_mod._poly_eval(coeffs, u, v, odd) == _poly_eval_direct(coeffs, u, v, odd)
+def test_pow12_matches_the_binomial_forms(u, v):
+    re, im = hecke_mod._pow12(u, v, 1)
+    assert re == _form(_GAUSS_EVEN, u, v, odd=False)
+    assert im == _form(_GAUSS_ODD, u, v, odd=True)
+    re, im = hecke_mod._pow12(u, v, 3)
+    assert 2 * re == _form(_EIS_EVEN, u, v, odd=False)
+    assert -2 * im == _form(_EIS_ODD, u, v, odd=True)
+
+
+@pytest.mark.parametrize("dt1b, dt2, message", [(0, 1, "not divisible"), (1, 0, "not rational")])
+def test_skewed_bundle_raises_consistency_error(dt1b, dt2, message):
+    # the bundle checks its own combination, whoever built it
+    good = coeff_bundle(13)
+    t1p = AlgInt3(good.t1p.a, good.t1p.b + dt1b)
+    with pytest.raises(ConsistencyError, match=message):
+        CoeffBundle(13, good.factorization, t1p, good.t2p + dt2, good.flip_1, good.flip_2)
 
 
 def _product_bundle(m):
@@ -323,7 +373,9 @@ def _product_bundle(m):
     comb = t1p + t1m - AlgInt3(t2p + t2m, 0)
     p26, rem = divmod(comb.a, P26_DENOMINATOR)
     assert comb.b == 0 and rem == 0, m
-    return CoeffBundle(m, fac, t1p, t1m, t2p, t2m, p26)
+    bundle = CoeffBundle(m, fac, t1p, t2p, odd_7 % 2 == 1, odd_5 % 2 == 1)
+    assert (bundle.t1m, bundle.t2m, bundle.p26) == (t1m, t2m, p26), m
+    return bundle
 
 
 def test_bundle_equals_the_product_below_3000():
