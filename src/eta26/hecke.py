@@ -1,13 +1,15 @@
-"""Exact evaluation of the four CM eigenform coefficients t1+/-, t2+/-.
+"""Exact evaluation of the CM eigenform coefficients t1 and t2.
 
 p26(n) is recovered from the coefficient combination at m = 12n + 13:
 
-    p26(n) = (t1p(m) + t1m(m) - t2p(m) - t2m(m)) / 32617728
+    p26(n) = 2 * (t1p(m) - t2p(m)) / 32617728
 
-where each of the four functions is multiplicative and satisfies a
-two-term recursion at prime powers.  t1 values live in Z[sqrt(-3)]
-(AlgInt3 below), t2 values in Z; every computation is exact integer
-arithmetic, no floating point anywhere.
+where t1p and t2p are multiplicative and satisfy a two-term recursion at
+prime powers.  The paper (after Serre) writes the numerator with four
+terms, t1p and t2p plus their minus twists; the twists equal t1p and t2p
+at every m = 1 mod 12 (see coeff_bundle), so two terms remain.  t1
+values live in Z[sqrt(-3)] (AlgInt3 below), t2 values in Z; every
+computation is exact integer arithmetic, no floating point anywhere.
 
 Prime values by residue class of p (mod 12), read off the twelfth powers
 pi^12 = (x + iy)^12 and rho^12 = (z + w*sqrt(-3))^12 of the normalized
@@ -16,7 +18,7 @@ x^2 + y^2 = p and z^2 + 3w^2 = p (_pow12):
   *  7: t2(p) = 0; t1(p) = -2 Im(rho^12) * sqrt(-3).
   *  5: t1(p) = 0; t2(p) = 2 Im(pi^12).
   *  1: t1(p) = +/-2 Re(rho^12), t2(p) = +/-2 Re(pi^12), each sign from
-        its representation's sign_plus bit; the + and - branches coincide.
+        its representation's sign_plus bit.
 
 All functions are pure.  Prime values come from one core, _prime_values, on
 primes already certified; it caches only primes below TRIAL_DIVISION_BOUND.
@@ -163,59 +165,47 @@ def t_prime_power(t_p: T, p: int, alpha: int) -> T:
 
 @dataclass(frozen=True)
 class CoeffBundle:
-    """The four coefficient values at one m = 1 mod 12.
+    """t1p and t2p at one m = 1 mod 12.
 
-    t1m and t2m are t1p and t2p, negated when flip_1 and flip_2 are set.
-    Construction checks that t1p + t1m is rational and that combination()
-    is exactly divisible by P26_DENOMINATOR (ConsistencyError otherwise)
-    and stores the quotient as p26.  The factorization of m is kept for reuse.
+    Construction checks that combination() is rational and exactly
+    divisible by P26_DENOMINATOR (ConsistencyError otherwise) and stores
+    the quotient as p26.  The factorization of m is kept for reuse.
     """
 
     m: int
     factorization: Factorization
     t1p: AlgInt3
     t2p: int
-    flip_1: bool
-    flip_2: bool
     p26: int = field(init=False)
 
     def __post_init__(self) -> None:
         check = self.combination()
         if check.b != 0:
-            raise ConsistencyError(
-                f"t1p + t1m not rational at m={self.m}: {self.t1p} + {self.t1m}")
+            raise ConsistencyError(f"t1p not rational at m={self.m}: {self.t1p}")
         p26, rem = divmod(check.a, P26_DENOMINATOR)
         if rem != 0:
             raise ConsistencyError(
                 f"combination {check.a} at m={self.m} not divisible by {P26_DENOMINATOR}")
         object.__setattr__(self, "p26", p26)
 
-    @property
-    def t1m(self) -> AlgInt3:
-        return -self.t1p if self.flip_1 else self.t1p
-
-    @property
-    def t2m(self) -> int:
-        return -self.t2p if self.flip_2 else self.t2p
-
     def combination(self) -> AlgInt3:
-        """t1p + t1m - t2p - t2m, the multiple of P26_DENOMINATOR p26 is read from."""
-        return self.t1p + self.t1m - AlgInt3(self.t2p + self.t2m, 0)
+        """2 * (t1p - t2p), the multiple of P26_DENOMINATOR p26 is read from."""
+        return 2 * (self.t1p - AlgInt3(self.t2p, 0))
 
 
 def coeff_bundle(m: int) -> CoeffBundle:
-    """Assemble t1+/-, t2+/- at m = 12n + 13 multiplicatively.
+    """Assemble t1p and t2p at m = 12n + 13 multiplicatively.
 
-    The minus branches are not recomputed: at each prime p = 7 mod 12
-    (resp. 5 mod 12) with odd exponent the two t1 (resp. t2) branches
-    differ only in sign, and agree everywhere else, so one sign flip per
-    such prime converts the + product into the - product.
+    The paper's minus twists negate t1p (t2p) when an odd number of primes
+    = 7 (5) mod 12 divide m to an odd power.  That sign never matters:
+    (Z/12)* is a Klein four-group, so at m = 1 mod 12 the counts of primes
+    = 5, 7 and 11 (mod 12) dividing m to an odd power share one parity, and
+    when it is odd some l = 11 (mod 12) has odd exponent and t1p = t2p = 0.
     """
     if m % 12 != 1 or m < 13:
         raise ValueError(f"coeff_bundle expects m = 1 mod 12, m >= 13, got {m}")
     fac = factorize(m)
     a, b, t2p = 1, 0, 1
-    flip_1 = flip_2 = False
     for p, alpha in fac:
         ta, tb, t2 = _prime_values(p)
         if alpha > 1:
@@ -223,9 +213,7 @@ def coeff_bundle(m: int) -> CoeffBundle:
             ta, tb, t2 = t1.a, t1.b, t_prime_power(t2, p, alpha)
         a, b = a * ta - 3 * b * tb, a * tb + b * ta
         t2p *= t2
-        flip_1 ^= alpha % 2 == 1 and p % 12 == 7
-        flip_2 ^= alpha % 2 == 1 and p % 12 == 5
-    return CoeffBundle(m, fac, AlgInt3(a, b), t2p, flip_1, flip_2)
+    return CoeffBundle(m, fac, AlgInt3(a, b), t2p)
 
 
 def p26_cm(n: int) -> int:

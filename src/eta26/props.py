@@ -58,7 +58,8 @@ class PropReport:
     """Outcome of one verification sweep.
 
     checked counts the primes examined; failures holds
-    (prime, exponent-or-None, detail) witness tuples.
+    (prime, exponent-or-None, detail) witness tuples.  For
+    periodicity-1mod12, exponent_bound holds the l_bound.
     """
 
     prop_id: str

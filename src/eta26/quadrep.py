@@ -20,8 +20,8 @@ p = z^2 + 3w^2  (exists iff p = 1 mod 3):
     sign_plus is true iff z + w = 1 (mod 4) -- well defined because w
     is even, so z + w = z - w (mod 4).
 
-For p = 1 mod 12 the two sign_plus bits always agree; hecke relies on
-that correlation, and the test suite sweeps it.
+For p = 1 mod 12 the two sign_plus bits always agree; hecke reads each
+representation's own bit, and the test suite sweeps the agreement.
 
 The guards two_squares / one_three_squares certify p, then call the trusted
 _gauss_rep / _eis_rep, which run no primality test.

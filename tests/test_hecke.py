@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eta26.hecke as hecke_mod
@@ -171,22 +171,20 @@ def test_ramanujan_bound():
 
 def test_bundle_at_13():
     bundle = coeff_bundle(13)
-    assert bundle.t1p == bundle.t1m
-    assert bundle.t2p == bundle.t2m
     assert bundle.t1p.a - bundle.t2p == 16308864
     assert bundle.combination() == AlgInt3(P26_DENOMINATOR, 0)
 
 
 def test_bundle_at_121():
     bundle = coeff_bundle(121)
-    assert bundle.t1p == bundle.t1m == AlgInt3(11**12, 0)
-    assert bundle.t2p == bundle.t2m == 11**12
+    assert bundle.t1p == AlgInt3(11**12, 0)
+    assert bundle.t2p == 11**12
 
 
 def test_bundle_at_253():
     bundle = coeff_bundle(253)
-    assert bundle.t1p == bundle.t1m == AlgInt3(0, 0)
-    assert bundle.t2p == bundle.t2m == 0
+    assert bundle.t1p == AlgInt3(0, 0)
+    assert bundle.t2p == 0
 
 
 def test_bundle_rejects_wrong_residue():
@@ -203,8 +201,6 @@ def test_bundle_multiplicative():
         b1, b2, b12 = coeff_bundle(m1), coeff_bundle(m2), coeff_bundle(m1 * m2)
         assert b12.t1p == b1.t1p * b2.t1p
         assert b12.t2p == b1.t2p * b2.t2p
-        assert b12.t1m == b1.t1m * b2.t1m
-        assert b12.t2m == b1.t2m * b2.t2m
 
 
 def test_combination_divisible_everywhere():
@@ -267,6 +263,16 @@ def test_cm_at_lifted_indices_equals_the_series(lift_table):
         assert p26_cm(n) == l**12 * lift_table[k], (l, k)
 
 
+def test_cm_at_indices_lifted_past_the_trial_division_bound(lift_table):
+    # l = 100019 and 1000151, the first primes = 11 (mod 12) above 1e5 and
+    # 1e6: factorize leaves l^2 as a perfect-square cofactor
+    pairs = [(l, k, n) for l in (100019, 1000151)
+             for k, n in _lifts(l, range(0, LIFT_LIMIT + 1, 64))]
+    assert len(pairs) == 188 and max(n for _, _, n in pairs) > 5 * 10**15
+    for l, k, n in pairs:
+        assert p26_cm(n) == l**12 * lift_table[k], (l, k)
+
+
 def test_sqrt3_component_vanishes_in_combination():
     # m = 5 * 7 * 11 * 13 has odd exponents in every residue class
     bundle = coeff_bundle(5 * 7 * 11 * 13)
@@ -313,7 +319,7 @@ def test_corrupted_prime_value_raises_consistency_error(monkeypatch):
 @pytest.mark.parametrize("da, db, message", [(1, 0, "not divisible"), (0, 1, "not rational")])
 def test_corrupted_t1_prime_value_raises_consistency_error(monkeypatch, da, db, message):
     # the t1 twin of the test above: a rational skew breaks divisibility,
-    # an irrational one breaks the rationality of t1p + t1m
+    # an irrational one breaks the rationality of t1p
     _skew_prime_values(monkeypatch, da, db, 0)
     with pytest.raises(ConsistencyError, match=message):
         hecke_mod.coeff_bundle(13)
@@ -355,11 +361,16 @@ def test_skewed_bundle_raises_consistency_error(dt1b, dt2, message):
     good = coeff_bundle(13)
     t1p = AlgInt3(good.t1p.a, good.t1p.b + dt1b)
     with pytest.raises(ConsistencyError, match=message):
-        CoeffBundle(13, good.factorization, t1p, good.t2p + dt2, good.flip_1, good.flip_2)
+        CoeffBundle(13, good.factorization, t1p, good.t2p + dt2)
 
 
 def _product_bundle(m):
-    """coeff_bundle as an AlgInt3 product of t_prime_power over t1_prime / t2_prime."""
+    """coeff_bundle as an AlgInt3 product of t_prime_power over t1_prime / t2_prime.
+
+    The paper's four-term combination t1p + t1m - t2p - t2m is the reference:
+    t1m (t2m) is t1p (t2p) negated when an odd number of primes = 7 (5)
+    mod 12 divide m to an odd power, and at m = 1 mod 12 it equals t1p (t2p).
+    """
     fac = factorize(m)
     t1p, t2p, odd_7, odd_5 = AlgInt3(1, 0), 1, 0, 0
     for p, alpha in fac:
@@ -370,11 +381,12 @@ def _product_bundle(m):
             odd_5 += p % 12 == 5
     t1m = t1p if odd_7 % 2 == 0 else -t1p
     t2m = t2p if odd_5 % 2 == 0 else -t2p
+    assert (t1m, t2m) == (t1p, t2p), m
     comb = t1p + t1m - AlgInt3(t2p + t2m, 0)
     p26, rem = divmod(comb.a, P26_DENOMINATOR)
     assert comb.b == 0 and rem == 0, m
-    bundle = CoeffBundle(m, fac, t1p, t2p, odd_7 % 2 == 1, odd_5 % 2 == 1)
-    assert (bundle.t1m, bundle.t2m, bundle.p26) == (t1m, t2m, p26), m
+    bundle = CoeffBundle(m, fac, t1p, t2p)
+    assert bundle.p26 == p26, m
     return bundle
 
 
@@ -399,6 +411,36 @@ def test_bundle_equals_the_product(n):
 def test_bundle_equals_the_product_at_higher_exponents(m):
     assert m % 12 == 1
     assert any(alpha >= 2 for _, alpha in factorize(m))
+    assert coeff_bundle(m) == _product_bundle(m)
+
+
+_SHAPE_PRIMES = {c: [p for p in primes_below(2000) if p % 12 == c] for c in (1, 5, 7, 11)}
+
+
+@st.composite
+def _m_from_shapes(draw):
+    """m = 1 mod 12 from primes below 2000 of each class mod 12, exponents 0 to 4."""
+    m = 1
+    for primes in _SHAPE_PRIMES.values():
+        for p in draw(st.lists(st.sampled_from(primes), max_size=3, unique=True)):
+            m *= p ** draw(st.integers(0, 4))
+    r = m % 12
+    if r != 1:
+        # one more prime of m's own class, prime to m, brings m to 1 mod 12
+        m *= draw(st.sampled_from([p for p in _SHAPE_PRIMES[r] if m % p]))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_m_from_shapes().filter(lambda m: m > 1))
+@example(5 * 7 * 11 * 13)
+@example(5**3 * 7**3 * 11**3 * 13**2 * 17**2 * 1997**4)
+def test_minus_twists_equal_plus_at_odd_shapes(m):
+    # the counts of primes = 5, 7, 11 (mod 12) with odd exponent share one
+    # parity, so a minus twist flips a sign only where t1p = t2p = 0
+    fac = factorize(m)
+    parities = {sum(alpha % 2 for p, alpha in fac if p % 12 == c) % 2 for c in (5, 7, 11)}
+    assert m % 12 == 1 and len(parities) == 1
     assert coeff_bundle(m) == _product_bundle(m)
 
 
