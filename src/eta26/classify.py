@@ -241,47 +241,3 @@ def scan(start: int, end: int) -> tuple[list[VanishingReport], ScanSummary]:
         raise ValueError("scan expects 0 <= start <= end")
     stream = RangeStream(apply_theorems, start, end)
     return list(stream), stream.summary()
-
-
-def report_record(report: VanishingReport) -> dict:
-    """JSON-ready record; big integers rendered as decimal strings."""
-    prof = report.profile
-    return {
-        "n": prof.n,
-        "m": prof.m,
-        "factors": [[p, e] for p, e in prof.factorization],
-        "condI": prof.cond_i,
-        "condII": prof.cond_ii,
-        "n1": prof.n1,
-        "n2": prof.n2,
-        "theorems": list(report.explanation),
-        "p26": str(report.p26_value),
-        "predicted": report.predicted,
-        "consistent": report.consistent,
-    }
-
-
-CSV_HEADER = "n,m,factors,condI,condII,n1,n2,theorems,p26,predicted,consistent"
-
-
-def _csv_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, list):  # factors as p^e, theorems as names
-        return " ".join(x if isinstance(x, str) else f"{x[0]}^{x[1]}" for x in value)
-    return str(value)
-
-
-def report_csv_row(report: VanishingReport) -> str:
-    """One CSV row matching CSV_HEADER; the cells of report_record, in order."""
-    return ",".join(_csv_cell(v) for v in report_record(report).values())
-
-
-def summary_record(summary: ScanSummary) -> dict:
-    return {
-        "start": summary.start,
-        "end": summary.end,
-        "zero_count": summary.zero_count,
-        "explained_zero_count": summary.explained_zero_count,
-        "unexplained_zeros": list(summary.unexplained_zeros),
-    }

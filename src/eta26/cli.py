@@ -15,6 +15,7 @@ output is for humans and may change.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,25 +45,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _cell(value: object) -> str:
+    """One CSV cell, the one rule for every command's rows."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):  # factors as p^e, theorems as names
+        return " ".join(x if isinstance(x, str) else f"{x[0]}^{x[1]}" for x in value)
+    return str(value)
+
+
 def _emit_reports(output: str, reports: Iterable[R], record: Callable[[R], dict],
-                  csv_header: str, csv_row: Callable[[R], str],
+                  csv_header: str, cells: Callable[[R], Iterable[object]],
                   text: Callable[[R], str],
                   summary: Callable[[], tuple[dict, str]] | None = None) -> None:
     """Write reports to stdout as JSON lines, a CSV table or text lines.
 
     reports is read once, in order, from any iterable, and each record is
-    written as it is rendered.  summary is called after the last report; it
-    gives the JSON summary record and the text summary line (CSV has none).
+    written as it is rendered.  A CSV row is the report's cells, each
+    written by _cell.  summary is called after the last report; it gives
+    the JSON summary record and the text summary line (CSV has none).
     """
     to_json = json.JSONEncoder(separators=(",", ":")).encode
-    render = {"json": lambda r: to_json(record(r)), "csv": csv_row, "text": text}[output]
+    render = {"json": lambda r: to_json(record(r)),
+              "csv": lambda r: ",".join(map(_cell, cells(r))), "text": text}[output]
     if output == "csv":
         sys.stdout.write(f"{csv_header}\n")
     for report in reports:
         sys.stdout.write(f"{render(report)}\n")
     if summary is not None and output != "csv":
-        summary_record, summary_text = summary()
-        sys.stdout.write(f"{to_json({'summary': summary_record})}\n"
+        summary_fields, summary_text = summary()
+        sys.stdout.write(f"{to_json({'summary': summary_fields})}\n"
                          if output == "json" else f"{summary_text}\n")
 
 
@@ -111,13 +123,33 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
         record.update((key, str(v)) for key, v in values.items())
     agree = "  (cm and series agree)" if method == "both" else ""
     _emit_reports(args.output, [record], dict, "n,r,method,coefficient",
-                  lambda _: f"{n},{r},{method},{value}",
+                  lambda _: (n, r, method, value),
                   lambda _: f"p_{r}({n}) = {value}{agree}")
     return EXIT_OK
 
 
-# record, CSV header and CSV row of a classify.VanishingReport
-_VANISHING = (classify.report_record, classify.CSV_HEADER, classify.report_csv_row)
+def _vanishing_record(report: classify.VanishingReport) -> dict:
+    """JSON record of a classify.VanishingReport; p26 as a decimal string."""
+    prof = report.profile
+    return {
+        "n": prof.n,
+        "m": prof.m,
+        "factors": [[p, e] for p, e in prof.factorization],
+        "condI": prof.cond_i,
+        "condII": prof.cond_ii,
+        "n1": prof.n1,
+        "n2": prof.n2,
+        "theorems": list(report.explanation),
+        "p26": str(report.p26_value),
+        "predicted": report.predicted,
+        "consistent": report.consistent,
+    }
+
+
+# record, CSV header and CSV cells (the record's values) of a VanishingReport
+_VANISHING = (_vanishing_record,
+              "n,m,factors,condI,condII,n1,n2,theorems,p26,predicted,consistent",
+              lambda r: _vanishing_record(r).values())
 
 
 def _classify_text(report: classify.VanishingReport) -> str:
@@ -151,7 +183,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise UsageError("scan expects start <= end")
     stream = classify.RangeStream(classify.apply_theorems, args.start, args.end)
     _emit_reports(args.output, stream, *_VANISHING, _scan_text, lambda: (
-        classify.summary_record(stream.summary()),
+        dataclasses.asdict(stream.summary()),
         f"summary: {stream.zero_count} zeros, "
         f"{stream.explained} explained, unexplained: {stream.unexplained}",
     ))
@@ -169,9 +201,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _props_csv(r: props.PropReport) -> str:
-    return (f"{r.prop_id},{r.prime_bound},{r.exponent_bound},{r.checked},"
-            f"{len(r.failures)}")
+def _props_record(r: props.PropReport) -> dict:
+    return {
+        "prop_id": r.prop_id,
+        "bounds": {"prime_bound": r.prime_bound, "exponent_bound": r.exponent_bound},
+        "checked": r.checked,
+        "failures": [[p, a, detail] for p, a, detail in r.failures],
+    }
 
 
 def _props_text(r: props.PropReport) -> str:
@@ -181,9 +217,11 @@ def _props_text(r: props.PropReport) -> str:
 
 def _cmd_verify_props(args: argparse.Namespace) -> int:
     reports = props.run_all(args.prime_bound, args.exp_bound, args.l_bound)
-    _emit_reports(args.output, reports, props.report_record,
+    _emit_reports(args.output, reports, _props_record,
                   "prop_id,prime_bound,exponent_bound,checked,failures",
-                  _props_csv, _props_text)
+                  lambda r: (r.prop_id, r.prime_bound, r.exponent_bound, r.checked,
+                             len(r.failures)),
+                  _props_text)
     if any(not r.ok for r in reports):
         sys.stderr.write("red flag: verifier reported failures\n")
         return EXIT_RED_FLAG

@@ -370,16 +370,3 @@ def run_all(
     """Run every verifier at the given bounds, in a fixed order."""
     return _sweep(prime_bound, {claims: l_bound if claims is _periodicity else exponent_bound
                                 for claims, _, _ in _VERIFIERS})
-
-
-def report_record(report: PropReport) -> dict:
-    """JSON-ready record for one PropReport."""
-    return {
-        "prop_id": report.prop_id,
-        "bounds": {
-            "prime_bound": report.prime_bound,
-            "exponent_bound": report.exponent_bound,
-        },
-        "checked": report.checked,
-        "failures": [[p, a, detail] for p, a, detail in report.failures],
-    }

@@ -21,17 +21,14 @@ from eta26 import (
 )
 from eta26.arith import Factorization, factorize
 from eta26.classify import (
-    CSV_HEADER,
     FAMILIES,
     ConditionProfile,
     PREDICT_NONE,
     PREDICT_NONZERO,
     PREDICT_ZERO,
     VanishingReport,
-    report_csv_row,
-    report_record,
-    summary_record,
 )
+from eta26.cli import main
 
 
 def test_profile_examples():
@@ -313,8 +310,14 @@ def test_scan_validation():
         scan(-1, 3)
 
 
-def test_report_record_schema():
-    rec = report_record(apply_theorems(20))
+def _cli_lines(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_report_record_schema(capsys):
+    (line,) = _cli_lines(capsys, ["classify", "20", "--output", "json"])
+    rec = json.loads(line)
     assert list(rec.keys()) == [
         "n", "m", "factors", "condI", "condII", "n1", "n2",
         "theorems", "p26", "predicted", "consistent",
@@ -328,16 +331,16 @@ def test_report_record_schema():
     assert parsed == rec
 
 
-def test_csv_row_matches_header():
-    assert CSV_HEADER.split(",") == list(report_record(apply_theorems(20)))
-    row = report_csv_row(apply_theorems(20))
-    assert len(row.split(",")) == len(CSV_HEADER.split(","))
+def test_csv_row_matches_header(capsys):
+    (line,) = _cli_lines(capsys, ["classify", "20", "--output", "json"])
+    header, row = _cli_lines(capsys, ["classify", "20", "--output", "csv"])
+    assert header.split(",") == list(json.loads(line))
+    assert len(row.split(",")) == len(header.split(","))
     assert row.startswith("20,253,11^1 23^1,true,false,false,false,cond-I,0,zero,true")
 
 
-def test_summary_record():
-    _, summary = scan(0, 30)
-    rec = summary_record(summary)
+def test_summary_record(capsys):
+    rec = json.loads(_cli_lines(capsys, ["scan", "0", "30", "--output", "json"])[-1])["summary"]
     assert rec["start"] == 0 and rec["end"] == 30
     assert rec["zero_count"] == rec["explained_zero_count"]
     assert rec["unexplained_zeros"] == []

@@ -13,7 +13,6 @@ from eta26.cli import main
 from eta26.hecke import AlgInt3, t_prime_powers
 from eta26.quadrep import EisRep, GaussRep
 from eta26.props import (
-    report_record,
     run_all,
     verify_difference_nonvanishing,
     verify_periodicity,
@@ -108,8 +107,11 @@ def test_combination_divisible_by_3_at_split_primes():
             assert (2 * (t1_prime(p).a - t2_prime(p))) % 3 == 0
 
 
-def test_report_record_schema():
-    rec = report_record(verify_t2_at_5_mod_12(100, 2))
+def test_report_record_schema(capsys):
+    assert main(["verify-props", "--prime-bound", "100", "--exp-bound", "2",
+                 "--output", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert rec["prop_id"] == "t2-divisibility-5mod12"
     assert list(rec.keys()) == ["prop_id", "bounds", "checked", "failures"]
     assert rec["bounds"] == {"prime_bound": 100, "exponent_bound": 2}
     assert rec["failures"] == []
