@@ -6,6 +6,7 @@ immutable and safe to share between concurrent tasks.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left
@@ -17,6 +18,9 @@ from .errors import FactoringBudgetError
 # Trial division handles all factors below this bound before Pollard rho
 # is consulted.
 TRIAL_DIVISION_BOUND = 100_000
+# From here on trial division cannot finish m by itself, so factorize takes
+# the small primes out with gcds against their product first.
+_GCD_SPLIT = TRIAL_DIVISION_BOUND**2
 
 # Miller-Rabin with the first k prime bases proves m prime below psi_k, the
 # least strong pseudoprime to all of them (OEIS A014233: Jaeschke 1993; k >= 9
@@ -45,6 +49,26 @@ def _sieve(bound: int) -> bytearray:
 # Primality below TRIAL_DIVISION_BOUND is a lookup in this table.
 _SMALL_FLAGS = _sieve(TRIAL_DIVISION_BOUND)
 _SMALL_PRIMES = list(compress(range(TRIAL_DIVISION_BOUND), _SMALL_FLAGS))
+
+
+@functools.cache
+def _small_primorial() -> int:
+    """The product of _SMALL_PRIMES, built as a product tree on first use."""
+    level = _SMALL_PRIMES
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
+def _split_smooth(m: int) -> tuple[int, int]:
+    """(s, m // s) for the largest divisor s of m whose primes are all sieve primes."""
+    smooth = 1
+    g = math.gcd(m, _small_primorial())
+    while g > 1:
+        m //= g
+        smooth *= g
+        g = math.gcd(m, g)
+    return smooth, m
 
 
 def primes_below(bound: int) -> list[int]:
@@ -185,13 +209,20 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Complete prime factorization of m >= 1.
 
     Trial division below TRIAL_DIVISION_BOUND, then Pollard-Brent with a
-    Miller-Rabin certifier.  `budget` caps the total number of Brent
-    iterations; a pathological input raises FactoringBudgetError instead
-    of hanging.
+    Miller-Rabin certifier.  From TRIAL_DIVISION_BOUND**2 (1e10) on, gcds
+    against the product of the sieve primes first split m into a part
+    whose primes are all below the bound and a part with none there; only
+    the first is trial-divided, and the prime it leaves is a sieve prime,
+    recorded without a test.  Every other prime is certified by is_prime.
+    `budget` caps the total number of Brent iterations; a pathological
+    input raises FactoringBudgetError instead of hanging.
     """
     if m < 1:
         raise ValueError("factorize expects m >= 1")
     value = m
+    rough = 0  # once split off, the part of m with no prime below the bound
+    if m >= _GCD_SPLIT:
+        m, rough = _split_smooth(m)
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > m:
@@ -199,6 +230,10 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
+    if rough:  # m is now 1 or a sieve prime
+        if m > 1:
+            counts[m] = 1
+        m = rough
     remaining = [m] if m > 1 else []
     budget_box = [budget]
     while remaining:

@@ -2,6 +2,7 @@
 
 Commands: coeff, classify, scan, verify-props, mt-check, selftest.  Each
 argument's bounds are checked by its argparse type, before any command runs.
+The parser is built once per process, and every call of main reuses it.
 
 Exit status: 0 on success, 1 on usage/resource errors or a closed stdout, 2 on
 an internal consistency red flag (cm/series mismatch, inexact division,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -280,7 +282,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_RED_FLAG if failures else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The eta26 parser, built on the first call and returned by every later one."""
     parser = _Parser(prog="eta26", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

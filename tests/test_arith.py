@@ -3,7 +3,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eta26.arith as arith
@@ -35,6 +35,28 @@ def test_factorize_roundtrip(m):
 @given(st.integers(min_value=2, max_value=10**7))
 @settings(max_examples=50)
 def test_factorize_matches_sympy(m):
+    assert dict(factorize(m).factors) == sympy.factorint(m)
+
+
+# sieve primes, the largest two among them, to be raised to high powers
+_SMOOTH_PRIMES = (2, 3, 5, 7, 13, 97, 9973, 99989, 99991)
+_PRIME_ABOVE_THE_SIEVE = st.integers(TRIAL_DIVISION_BOUND, 10**8).map(sympy.nextprime)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SMOOTH_PRIMES), st.integers(1, 20)), max_size=3),
+       st.lists(_PRIME_ABOVE_THE_SIEVE, max_size=2))
+@example([(99991, 2)], [])  # the largest sieve prime squared, just below 1e10
+@example([(2, 10), (5, 10)], [])  # 1e10 itself
+@example([], [100_003, 100_003])  # the least prime past the sieve squared
+@example([(99991, 3)], [1_000_003])
+@example([(2, 40)], [1_000_003])
+@example([], [10_000_000_019])
+@settings(max_examples=200, deadline=None)
+def test_factorize_matches_sympy_on_both_sides_of_the_gcd_split(smooth, rough):
+    # m = (a 1e5-smooth part) * (1, a prime above 1e5, or two of them):
+    # about a fifth of the draws fall below 1e10, where trial division
+    # runs alone, and the rest above it, where gcds split m first
+    m = math.prod(p**e for p, e in smooth) * math.prod(rough)
     assert dict(factorize(m).factors) == sympy.factorint(m)
 
 
@@ -249,6 +271,8 @@ def test_hand_built_factorization_still_certifies_its_primes():
     (8 * 1_000_003 * 1_000_033,
      [1_000_003 * 1_000_033, 1_000_003, 1_000_033]),
     (1_000_003**2 * 7, [1_000_003**2, 1_000_003, 1_000_003]),
+    (10_000_000_019, [10_000_000_019]),  # a prime past 1e10: no sieve factor
+    (99991**3 * 1_000_003, [1_000_003]),  # the gcds take out 99991^3
 ])
 def test_factorize_tests_only_the_cofactors_it_meets(monkeypatch, m, tested):
     calls = []
@@ -262,3 +286,31 @@ def test_factorize_tests_only_the_cofactors_it_meets(monkeypatch, m, tested):
     fac = factorize(m)
     assert sorted(calls) == sorted(tested)
     assert math.prod(p**e for p, e in fac) == m
+
+
+class _CountedPrimes(list):
+    """_SMALL_PRIMES, counting the primes a loop over it goes past.
+
+    The count rises when the loop asks for the next prime (or ends), so a
+    prime at which trial division breaks off, untried, is not counted.
+    """
+
+    passed = 0
+
+    def __iter__(self):
+        for p in super().__iter__():
+            yield p
+            self.passed += 1
+
+
+@pytest.mark.parametrize("m, trial_divisions", [
+    (9_999_999_967, 9592),  # a prime below 1e10: every sieve prime is tried
+    (10_000_000_019, 0),  # a prime above 1e10: one gcd shows it has no sieve factor
+    (999_999_999_989, 0),
+])
+def test_factorize_trial_divides_only_below_the_gcd_split(monkeypatch, m, trial_divisions):
+    primes = _CountedPrimes(arith._SMALL_PRIMES)
+    monkeypatch.setattr(arith, "_SMALL_PRIMES", primes)
+    assert factorize(m).factors == ((m, 1),)
+    assert primes.passed == trial_divisions
+    assert len(primes) == 9592

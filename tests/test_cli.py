@@ -159,6 +159,16 @@ def test_usage_errors_exit_1(capsys):
             assert "invalid int value" in err
 
 
+def test_parser_is_built_once_and_outlives_a_usage_error(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    alone = run(capsys, ["coeff", "5", "--output", "json"])
+    code, out, err = run(capsys, ["coeff", "-1"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ")
+    assert run(capsys, ["coeff", "5", "--output", "json"]) == alone
+    assert alone == (cli.EXIT_OK, '{"n":5,"r":26,"method":"cm","coefficient":"-13754"}\n', "")
+
+
 def test_budget_exhaustion_exits_1(capsys):
     code, _, err = run(
         capsys, ["coeff", "2000000", "--method", "series", "--budget-mb", "1"]
@@ -246,6 +256,18 @@ def test_golden_coeff_at_a_prime_near_1e14(capsys):
     code, out, _ = run(capsys, ["coeff", "8333333333354", "--output", "json"])
     assert code == 0
     assert out.encode() == (GOLDEN / "coeff-8333333333354.json").read_bytes()
+
+
+@pytest.mark.parametrize("n", [
+    833335783334770,  # 12n + 13 = 100000081 * 100000213, both 1 mod 12
+    3257063801,  # 12n + 13 = 5^8 * 100057, past 1e10
+])
+def test_golden_coeff_at_composite_large_indices(capsys, n):
+    # stdout recorded when factorize still trial-divided every m to 1e5
+    argv = ["coeff", str(n), "--method", "cm"]
+    code, out, _ = run(capsys, argv + ["--output", "json"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{'-'.join(argv)}.json").read_bytes()
 
 
 def test_golden_coeff_5000_both(capsys):
