@@ -209,11 +209,13 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Complete prime factorization of m >= 1.
 
     Trial division below TRIAL_DIVISION_BOUND, then Pollard-Brent with a
-    Miller-Rabin certifier.  From TRIAL_DIVISION_BOUND**2 (1e10) on, gcds
-    against the product of the sieve primes first split m into a part
-    whose primes are all below the bound and a part with none there; only
-    the first is trial-divided, and the prime it leaves is a sieve prime,
-    recorded without a test.  Every other prime is certified by is_prime.
+    Miller-Rabin certifier.  From TRIAL_DIVISION_BOUND**2 (1e10) on, m is
+    tested by is_prime first, and a prime m is returned at once; a
+    composite one is split by gcds against the product of the sieve
+    primes into a part whose primes are all below the bound and a part
+    with none there.  Only the first is trial-divided, and the prime it
+    leaves is a sieve prime, recorded without a test.  Every other prime
+    is certified by is_prime, and no number is tested twice in one call.
     `budget` caps the total number of Brent iterations; a pathological
     input raises FactoringBudgetError instead of hanging.
     """
@@ -221,7 +223,11 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         raise ValueError("factorize expects m >= 1")
     value = m
     rough = 0  # once split off, the part of m with no prime below the bound
+    verdicts: dict[int, bool] = {}  # is_prime(n) of every n tested so far
     if m >= _GCD_SPLIT:
+        if is_prime(m):
+            return Factorization(m, ((m, 1),), _certified=True)
+        verdicts[m] = False
         m, rough = _split_smooth(m)
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -234,21 +240,23 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         if m > 1:
             counts[m] = 1
         m = rough
-    remaining = [m] if m > 1 else []
+    remaining = {m: 1} if m > 1 else {}  # cofactor -> multiplicity
     budget_box = [budget]
     while remaining:
-        n = remaining.pop()
-        if n == 1:
-            continue
-        if is_prime(n):
-            counts[n] = counts.get(n, 0) + 1
+        n, e = remaining.popitem()
+        if n not in verdicts:
+            verdicts[n] = is_prime(n)
+        if verdicts[n]:
+            counts[n] = counts.get(n, 0) + e
             continue
         root = math.isqrt(n)
         if root * root == n:
-            remaining.extend((root, root))
-            continue
-        d = _pollard_brent(n, budget_box)
-        remaining.extend((d, n // d))
+            parts = (root, root)
+        else:
+            d = _pollard_brent(n, budget_box)
+            parts = (d, n // d)
+        for part in parts:
+            remaining[part] = remaining.get(part, 0) + e
     return Factorization(value, tuple(sorted(counts.items())), _certified=True)
 
 

@@ -51,6 +51,7 @@ _PRIME_ABOVE_THE_SIEVE = st.integers(TRIAL_DIVISION_BOUND, 10**8).map(sympy.next
 @example([(99991, 3)], [1_000_003])
 @example([(2, 40)], [1_000_003])
 @example([], [10_000_000_019])
+@example([], [100_003, 100_019])  # past 1e10 with no sieve factor: Pollard on m itself
 @settings(max_examples=200, deadline=None)
 def test_factorize_matches_sympy_on_both_sides_of_the_gcd_split(smooth, rough):
     # m = (a 1e5-smooth part) * (1, a prime above 1e5, or two of them):
@@ -264,28 +265,68 @@ def test_hand_built_factorization_still_certifies_its_primes():
         Factorization(15, ((15, 1),))
 
 
-@pytest.mark.parametrize("m, tested", [
-    (96, [3]),  # 2^5 * 3: trial division leaves the cofactor 3
-    (2**40, []),
-    (1_000_003, [1_000_003]),
-    (8 * 1_000_003 * 1_000_033,
-     [1_000_003 * 1_000_033, 1_000_003, 1_000_033]),
-    (1_000_003**2 * 7, [1_000_003**2, 1_000_003, 1_000_003]),
-    (10_000_000_019, [10_000_000_019]),  # a prime past 1e10: no sieve factor
-    (99991**3 * 1_000_003, [1_000_003]),  # the gcds take out 99991^3
-])
-def test_factorize_tests_only_the_cofactors_it_meets(monkeypatch, m, tested):
+def _record_calls(monkeypatch, name: str) -> list[int]:
+    """The arguments of every call factorize makes to arith.<name>."""
     calls = []
-    real = arith.is_prime
+    real = getattr(arith, name)
 
     def counted(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(arith, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("m, tested", [
+    (96, [3]),  # 2^5 * 3: trial division leaves the cofactor 3
+    # from 1e10 on, m itself is tested first, and a prime m ends the call
+    (2**40, [2**40]),
+    (1_000_003, [1_000_003]),
+    (8 * 1_000_003 * 1_000_033,
+     [8 * 1_000_003 * 1_000_033, 1_000_003 * 1_000_033, 1_000_003, 1_000_033]),
+    # the square root is one cofactor of multiplicity 2, tested once
+    (1_000_003**2 * 7, [1_000_003**2 * 7, 1_000_003**2, 1_000_003]),
+    (10_000_000_019, [10_000_000_019]),  # a prime past 1e10: no gcd at all
+    (99991**3 * 1_000_003, [99991**3 * 1_000_003, 1_000_003]),  # the gcds take out 99991^3
+    (999_999_999_989, [999_999_999_989]),
+    # no sieve factor, so the part left for Pollard is m, which is not retested
+    (100_003 * 100_019, [100_003 * 100_019, 100_003, 100_019]),
+])
+def test_factorize_tests_only_the_cofactors_it_meets(monkeypatch, m, tested):
+    calls = _record_calls(monkeypatch, "is_prime")
     fac = factorize(m)
     assert sorted(calls) == sorted(tested)
     assert math.prod(p**e for p, e in fac) == m
+
+
+@pytest.mark.parametrize("m", [
+    100_003**3,
+    100_003**2 * 100_019,
+    100_003**2 * 100_019**2 * 3,
+    (1_000_003 * 1_000_033)**2 * 100_019,
+])
+def test_factorize_tests_no_number_twice(monkeypatch, m):
+    # a prime met twice, through Pollard or the square root, is tested once
+    calls = _record_calls(monkeypatch, "is_prime")
+    assert dict(factorize(m).factors) == sympy.factorint(m)
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("m, splits", [
+    (10_000_000_019, 0),
+    (999_999_999_989, 0),
+    (99991**3 * 1_000_003, 1),
+])
+def test_a_prime_past_the_gcd_split_skips_the_split(monkeypatch, m, splits):
+    calls = _record_calls(monkeypatch, "_split_smooth")
+    arith._small_primorial.cache_clear()
+    try:
+        assert dict(factorize(m).factors) == sympy.factorint(m)
+        assert len(calls) == splits
+        assert arith._small_primorial.cache_info().currsize == splits
+    finally:
+        arith._small_primorial.cache_clear()
 
 
 class _CountedPrimes(list):
@@ -305,7 +346,7 @@ class _CountedPrimes(list):
 
 @pytest.mark.parametrize("m, trial_divisions", [
     (9_999_999_967, 9592),  # a prime below 1e10: every sieve prime is tried
-    (10_000_000_019, 0),  # a prime above 1e10: one gcd shows it has no sieve factor
+    (10_000_000_019, 0),  # a prime above 1e10: is_prime settles it before any gcd
     (999_999_999_989, 0),
 ])
 def test_factorize_trial_divides_only_below_the_gcd_split(monkeypatch, m, trial_divisions):

@@ -380,3 +380,18 @@ def test_check_family_factors_once_per_index(monkeypatch):
         for n in range(20):
             check_family(mult, n)
         assert calls == [mult * (12 * n + 1) for n in range(20)], mult
+
+
+def test_uncovered_indices_have_odd_exponents_only_at_1_mod_12():
+    # where no condition applies, every prime to an odd power is 1 (mod 12):
+    # an odd count of odd-power primes in classes 5, 7, 11 would put one in
+    # each (their counts share one parity, as m = 1 (mod 12)), and cond I holds
+    uncovered = 0
+    for n in range(20001):
+        report = apply_theorems(n)
+        if report.predicted != PREDICT_NONE:
+            continue
+        uncovered += 1
+        odd = {p % 12 for p, e in report.profile.factorization if e % 2}
+        assert odd <= {1}, n
+    assert uncovered == 1711

@@ -261,9 +261,11 @@ def test_golden_coeff_at_a_prime_near_1e14(capsys):
 @pytest.mark.parametrize("n", [
     833335783334770,  # 12n + 13 = 100000081 * 100000213, both 1 mod 12
     3257063801,  # 12n + 13 = 5^8 * 100057, past 1e10
+    833383333,  # 12n + 13 = 100003^2, past 1e10 with no sieve factor
 ])
 def test_golden_coeff_at_composite_large_indices(capsys, n):
     # stdout recorded when factorize still trial-divided every m to 1e5
+    # (the first two), or before it tested m ahead of the gcd split
     argv = ["coeff", str(n), "--method", "cm"]
     code, out, _ = run(capsys, argv + ["--output", "json"])
     assert code == 0

@@ -1,8 +1,10 @@
+import ast
 import io
 import math
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -255,3 +257,29 @@ def test_term_budget_is_checked_before_the_loop():
 def test_term_budget_admits_the_cm_sweep_to_20000():
     # a fiftyfold margin; selftest --limit 6050 needs fewer terms still
     assert series._recurrence_terms(20000) * 50 < series.TERM_BUDGET
+
+
+def _package_modules_imported(source):
+    """The eta26 modules an import statement in source names, as dotted paths."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "eta26")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = ".".join(filter(None, ["eta26", node.module]))
+            elif node.module.split(".")[0] == "eta26":
+                base = node.module
+            else:
+                continue
+            if base == "eta26":  # from . import x: x is a module
+                yield from (f"eta26.{a.name}" for a in node.names)
+            else:
+                yield base
+
+
+def test_series_imports_nothing_from_the_package_but_errors():
+    # the oracle stays independent of the CM path: no shared code with hecke
+    source = Path(series.__file__).read_text()
+    assert set(_package_modules_imported(source)) == {"eta26.errors"}
+    assert set(_package_modules_imported("from . import hecke\nimport eta26.arith")) == {
+        "eta26.hecke", "eta26.arith"}
