@@ -87,6 +87,14 @@ CATALOGUE = (
            "        if n not in verdicts:\n",
            "        if True:\n",
            "tests/test_arith.py::test_factorize_tests_no_number_twice"),
+    Mutant("arith-pm1-stage-2-dropped", "src/eta26/arith.py",
+           "g = math.gcd(acc, n)",
+           "g = 1",
+           "tests/test_arith.py::test_pm1_stage_2"),
+    Mutant("arith-pm1-returns-n", "src/eta26/arith.py",
+           "return g if g < n else 1",
+           "return g",
+           "tests/test_arith.py::test_pm1_returns_1_when_both_p_minus_1_are_smooth"),
 )
 
 

@@ -126,6 +126,67 @@ def test_factoring_budget_is_enforced():
     assert factorize(n).factors == ((1_000_000_007, 1), (1_000_000_009, 1))
 
 
+# Each prime is 1 mod 12, so each product is a 12n + 13 of the large-index band.
+_PM1_STAGE_1 = 100_000_801 * 100_000_081  # 100000800 = 2^5 3^2 5^2 17 19 43
+_PM1_STAGE_2 = 100_000_213 * 100_000_081  # 100000212 = 2^2 3 13 269 2383
+_PM1_BOTH_SMOOTH = 100_000_801 * 100_000_837  # 100000836 = 2^2 3^2 13 157 1361
+_PM1_NEITHER = 100_000_081 * 100_000_237  # 100000080 has 138889, 100000236 has 41051
+
+
+def test_pm1_stage_1_alone():
+    assert math.gcd(pow(2, arith._pm1_exponent(), _PM1_STAGE_1) - 1, _PM1_STAGE_1) == 100_000_801
+    assert arith._pm1(_PM1_STAGE_1) == 100_000_801
+
+
+def test_pm1_stage_2():
+    assert math.gcd(pow(2, arith._pm1_exponent(), _PM1_STAGE_2) - 1, _PM1_STAGE_2) == 1
+    assert arith._pm1(_PM1_STAGE_2) == 100_000_213
+
+
+def test_pm1_returns_1_when_both_p_minus_1_are_smooth(monkeypatch):
+    # _pm1 first: without its g < n guard, factorize would loop on (n, 1)
+    assert arith._pm1(_PM1_BOTH_SMOOTH) == 1
+    walks = _record_calls(monkeypatch, "_pollard_brent")
+    assert factorize(_PM1_BOTH_SMOOTH).factors == ((100_000_801, 1), (100_000_837, 1))
+    assert walks == [_PM1_BOTH_SMOOTH]
+
+
+def test_pm1_returns_1_when_neither_p_minus_1_is_smooth():
+    assert arith._pm1(_PM1_NEITHER) == 1
+
+
+def test_pm1_leaves_the_budget_test_semiprime_to_brent():
+    # an _PM1_B1 of 109^2 or more would split it and void the budget test
+    assert sympy.n_order(2, 1_000_000_009) == 3**2 * 7 * 109**2 * 167
+    assert arith._PM1_B1 < 109**2
+    assert arith._pm1(1_000_000_007 * 1_000_000_009) == 1
+
+
+def test_pm1_is_not_charged_to_the_budget():
+    assert factorize(_PM1_STAGE_1, budget=1).factors == ((100_000_081, 1), (100_000_801, 1))
+
+
+_PRIME_NEAR_1E9 = st.integers(10**8 + 8, 10**9).map(sympy.prevprime)
+
+
+@given(_PRIME_NEAR_1E9, _PRIME_NEAR_1E9)
+@example(100_000_801, 100_000_081)
+@example(100_000_213, 100_000_081)
+@example(100_000_801, 100_000_837)
+@example(100_000_081, 100_000_237)
+@settings(max_examples=30, deadline=None)
+def test_factorize_matches_sympy_on_semiprimes(p, q):
+    assert dict(factorize(p * q).factors) == sympy.factorint(p * q)
+
+
+def test_factorize_below_the_gcd_split_never_runs_p_minus_1(monkeypatch):
+    # trial division finishes every m < 1e10, so Pollard is never reached
+    calls = _record_calls(monkeypatch, "_pm1")
+    for m in [99991 * 99989, 9_999_999_967, *(12 * n + 13 for n in range(2001))]:
+        assert math.prod(p**e for p, e in factorize(m)) == m
+    assert calls == []
+
+
 def test_factorization_validates_itself():
     Factorization(12, ((2, 2), (3, 1)))
     with pytest.raises(ValueError):
@@ -266,13 +327,13 @@ def test_hand_built_factorization_still_certifies_its_primes():
 
 
 def _record_calls(monkeypatch, name: str) -> list[int]:
-    """The arguments of every call factorize makes to arith.<name>."""
+    """The first argument of every call factorize makes to arith.<name>."""
     calls = []
     real = getattr(arith, name)
 
-    def counted(n):
+    def counted(n, *rest):
         calls.append(n)
-        return real(n)
+        return real(n, *rest)
 
     monkeypatch.setattr(arith, name, counted)
     return calls

@@ -262,10 +262,13 @@ def test_golden_coeff_at_a_prime_near_1e14(capsys):
     833335783334770,  # 12n + 13 = 100000081 * 100000213, both 1 mod 12
     3257063801,  # 12n + 13 = 5^8 * 100057, past 1e10
     833383333,  # 12n + 13 = 100003^2, past 1e10 with no sieve factor
+    833340683338739,  # 12n + 13 = 100000801 * 100000081, split by p - 1 stage 1
+    833346983389202,  # 12n + 13 = 100000801 * 100000837, p - 1 gives n, Brent splits it
 ])
 def test_golden_coeff_at_composite_large_indices(capsys, n):
     # stdout recorded when factorize still trial-divided every m to 1e5
-    # (the first two), or before it tested m ahead of the gcd split
+    # (the first two), before it tested m ahead of the gcd split (the
+    # third), or before it tried Pollard p - 1 ahead of Brent (the last two)
     argv = ["coeff", str(n), "--method", "cm"]
     code, out, _ = run(capsys, argv + ["--output", "json"])
     assert code == 0
