@@ -39,6 +39,11 @@ DEFAULT_FACTOR_BUDGET = 4_000_000
 # mod 1000000009, 3**2 * 7 * 109**2 * 167, keeps a budget test for Brent.
 _PM1_B1 = 2_000
 _PM1_B2 = 20_000
+# A Brent walk tries one p - 1 pass when its round length reaches this, after
+# _PM1_ROUND - 1 steps, which cost about as much as the pass: a cofactor that
+# Brent splits sooner never pays for p - 1, and one it splits later pays at
+# most about twice what Brent alone would.
+_PM1_ROUND = 2_048
 
 
 def _sieve(bound: int) -> bytearray:
@@ -166,7 +171,11 @@ def _pm1(n: int) -> int:
 
 
 def _pollard_brent(n: int, budget: list[int]) -> int:
-    """A nontrivial factor of composite odd n, or raises on empty budget."""
+    """A nontrivial factor of composite odd n, or raises on empty budget.
+
+    A walk that reaches round length _PM1_ROUND without a factor returns
+    the factor of one _pm1 pass, if it finds one, and resumes otherwise.
+    """
     rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)
@@ -175,6 +184,8 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if r == _PM1_ROUND and (d := _pm1(n)) > 1:
+                return d
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -252,21 +263,21 @@ class Factorization:
 def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Complete prime factorization of m >= 1.
 
-    Trial division below TRIAL_DIVISION_BOUND, then Pollard p - 1 and
-    Pollard-Brent with a Miller-Rabin certifier.  From
+    Trial division below TRIAL_DIVISION_BOUND, then Pollard-Brent and
+    Pollard p - 1 with a Miller-Rabin certifier.  From
     TRIAL_DIVISION_BOUND**2 (1e10) on, m is tested by is_prime first, and a
     prime m is returned at once; a composite one is split by gcds against
     the product of the sieve primes into a part whose primes are all below
     the bound and a part with none there.  Only the first is trial-divided,
     and the prime it leaves is a sieve prime, recorded without a test.
     Every other prime is certified by is_prime, and no number is tested
-    twice in one call.  A composite cofactor that is not a square gets one
-    p - 1 pass with bounds _PM1_B1 = 2000 and _PM1_B2 = 20000 first, at a
-    fixed cost of about 1.1-1.4 ms near 1e17, which splits half to two
-    thirds of the products of two primes in [1e8, 1e9]; only when it fails
-    does Brent walk, for about sqrt(p) steps.  `budget` caps the total
-    number of Brent iterations only, and the p - 1 passes are not charged;
-    a pathological input raises FactoringBudgetError instead of hanging.
+    twice in one call.  A composite cofactor that is not a square is split
+    by a Pollard-Brent walk, about sqrt(p) steps for its least prime p; a
+    walk that has not split it after _PM1_ROUND - 1 steps tries one p - 1
+    pass with bounds _PM1_B1 = 2000 and _PM1_B2 = 20000, and resumes if
+    that finds no proper factor.  `budget` caps the total number of Brent
+    iterations only, and the p - 1 passes are not charged; a pathological
+    input raises FactoringBudgetError instead of hanging.
     """
     if m < 1:
         raise ValueError("factorize expects m >= 1")
@@ -302,9 +313,7 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         if root * root == n:
             parts = (root, root)
         else:
-            d = _pm1(n)
-            if d == 1:
-                d = _pollard_brent(n, budget_box)
+            d = _pollard_brent(n, budget_box)
             parts = (d, n // d)
         for part in parts:
             remaining[part] = remaining.get(part, 0) + e

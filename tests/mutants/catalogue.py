@@ -95,6 +95,10 @@ CATALOGUE = (
            "return g if g < n else 1",
            "return g",
            "tests/test_arith.py::test_pm1_returns_1_when_both_p_minus_1_are_smooth"),
+    Mutant("arith-pm1-before-brent", "src/eta26/arith.py",
+           "_PM1_ROUND = 2_048",
+           "_PM1_ROUND = 1",
+           "tests/test_arith.py::test_brent_splits_a_small_rough_prime_before_p_minus_1"),
 )
 
 

@@ -163,7 +163,20 @@ def test_pm1_leaves_the_budget_test_semiprime_to_brent():
 
 
 def test_pm1_is_not_charged_to_the_budget():
-    assert factorize(_PM1_STAGE_1, budget=1).factors == ((100_000_081, 1), (100_000_801, 1))
+    # the walk is charged _PM1_ROUND - 1 steps before its p - 1 pass splits n
+    with pytest.raises(FactoringBudgetError):
+        factorize(_PM1_STAGE_1, budget=arith._PM1_ROUND - 1)
+    assert factorize(_PM1_STAGE_1, budget=arith._PM1_ROUND).factors == (
+        (100_000_081, 1), (100_000_801, 1))
+
+
+def test_brent_splits_a_small_rough_prime_before_p_minus_1(monkeypatch):
+    # p - 1 would find 100003 (2 3 7 2381) and 100019 (2 43 1163), but
+    # Brent finds them before the walk reaches _PM1_ROUND
+    calls = _record_calls(monkeypatch, "_pm1")
+    for m in [100_003 * 100_019, 100_003 * 1_000_000_007, 100_019 * 1_000_000_009]:
+        assert factorize(m).factors == tuple((p, 1) for p in sorted(sympy.factorint(m)))
+    assert calls == []
 
 
 _PRIME_NEAR_1E9 = st.integers(10**8 + 8, 10**9).map(sympy.prevprime)
