@@ -13,7 +13,7 @@ verifies divisibility and nonvanishing claims over prime ranges, and cli
 exposes everything with machine-readable output.
 """
 
-from .arith import Factorization, factorize, is_prime, ord_p, primes_below
+from .arith import Factorization, factorize, is_prime, primes_below
 from .classify import (
     ConditionProfile,
     ScanSummary,
@@ -22,7 +22,6 @@ from .classify import (
     check_25n_plus_1,
     check_49n_plus_3,
     check_family,
-    profile,
     scan,
 )
 from .errors import (
@@ -44,14 +43,7 @@ from .hecke import (
 )
 from .props import PropReport, run_all
 from .quadrep import EisRep, GaussRep, one_three_squares, two_squares
-from .series import (
-    PowerSeries,
-    eta_power_series,
-    jacobi_series,
-    p26_oracle,
-    pentagonal_series,
-    write_coefficient_csv,
-)
+from .series import PowerSeries, eta_power_series, p26_oracle
 
 __version__ = "0.1.0"
 
@@ -80,19 +72,14 @@ __all__ = [
     "eta_power_series",
     "factorize",
     "is_prime",
-    "jacobi_series",
     "one_three_squares",
-    "ord_p",
     "p26_cm",
     "p26_oracle",
-    "pentagonal_series",
     "primes_below",
-    "profile",
     "run_all",
     "scan",
     "t1_prime",
     "t2_prime",
     "t_prime_power",
     "two_squares",
-    "write_coefficient_csv",
 ]

@@ -1,4 +1,4 @@
-"""Arbitrary-precision integer utilities: primality, factorization, valuations.
+"""Arbitrary-precision integer utilities: primality and factorization.
 
 Everything here is a pure function of its inputs; returned values are
 immutable and safe to share between concurrent tasks.
@@ -32,7 +32,7 @@ _PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749
         318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
 _EXTRA_ROUNDS = 64
 
-# Default cap on Pollard-Brent iterations across one factorize() call.
+# Default cap on the charged Pollard-Brent steps of one factorize() call.
 DEFAULT_FACTOR_BUDGET = 4_000_000
 
 # Pollard p - 1 bounds.  _PM1_B1 stays below 109**2, so that the order of 2
@@ -173,6 +173,9 @@ def _pm1(n: int) -> int:
 def _pollard_brent(n: int, budget: list[int]) -> int:
     """A nontrivial factor of composite odd n, or raises on empty budget.
 
+    budget[0] is charged for the steps that enter the gcd product, not for
+    each round's skip steps or the backtrack: about a third to a half of
+    all squarings (14,719 of 31,102 on 1000000007 * 1000000009).
     A walk that reaches round length _PM1_ROUND without a factor returns
     the factor of one _pm1 pass, if it finds one, and resumes otherwise.
     """
@@ -245,17 +248,6 @@ class Factorization:
         if prod != self.value:
             raise ValueError("factors do not multiply back to value")
 
-    def ord(self, p: int) -> int:
-        """Exponent of p in value (0 if p does not divide it)."""
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    @property
-    def is_square(self) -> bool:
-        return all(e % 2 == 0 for _, e in self.factors)
-
     def __iter__(self):
         return iter(self.factors)
 
@@ -275,9 +267,11 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     by a Pollard-Brent walk, about sqrt(p) steps for its least prime p; a
     walk that has not split it after _PM1_ROUND - 1 steps tries one p - 1
     pass with bounds _PM1_B1 = 2000 and _PM1_B2 = 20000, and resumes if
-    that finds no proper factor.  `budget` caps the total number of Brent
-    iterations only, and the p - 1 passes are not charged; a pathological
-    input raises FactoringBudgetError instead of hanging.
+    that finds no proper factor.  `budget` is charged only for the Brent
+    steps whose differences enter the gcd product; each round's skip steps,
+    the backtrack and the p - 1 passes are not charged, so one call makes
+    up to about 3 * budget squarings.  A pathological input raises
+    FactoringBudgetError instead of hanging.
     """
     if m < 1:
         raise ValueError("factorize expects m >= 1")
@@ -318,16 +312,3 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         for part in parts:
             remaining[part] = remaining.get(part, 0) + e
     return Factorization(value, tuple(sorted(counts.items())), _certified=True)
-
-
-def ord_p(m: int, p: int) -> int:
-    """Largest e with p**e dividing m (p prime, m >= 1)."""
-    if m < 1:
-        raise ValueError("ord_p expects m >= 1")
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"ord_p expects a prime, got {p}")
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e

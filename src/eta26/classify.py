@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import hecke
-from .arith import Factorization, factorize
+from .arith import Factorization
 from .errors import ConsistencyError
 
 PREDICT_ZERO = "zero"
@@ -112,13 +112,6 @@ def _profile(n: int, fac: Factorization) -> ConditionProfile:
     if prof.cond_i and (prof.n1 or prof.n2):
         raise ConsistencyError(f"cond I with N1/N2 at n={n}")
     return prof
-
-
-def profile(n: int) -> ConditionProfile:
-    """Compute every condition flag for one index n >= 0."""
-    if n < 0:
-        raise ValueError("profile expects n >= 0")
-    return _profile(n, factorize(12 * n + 13))
 
 
 def _evaluate(n: int) -> tuple[ConditionProfile, int]:

@@ -64,16 +64,6 @@ class AlgInt3:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "AlgInt3":
-        return AlgInt3(self.a, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a + 3 * self.b * self.b
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
 
 def _pow12(u: int, v: int, d: int) -> tuple[int, int]:
     """(re, im) of (u + v*sqrt(-d))^12: square twice, then cube."""

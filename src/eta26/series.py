@@ -15,7 +15,6 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import IO
 
 from .errors import ConsistencyError, SeriesBudgetError
 
@@ -45,9 +44,6 @@ class PowerSeries:
     def __len__(self) -> int:
         return self.order + 1
 
-    def nonzero_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
-
 
 def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
     """The nonzero (k, g_k) with k <= order of prod(1 - q^m), k ascending.
@@ -56,28 +52,6 @@ def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
     """
     return [(0, 1)] + [(k, -1 if j % 2 else 1) for j in range(1, math.isqrt(order) + 2)
                        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if k <= order]
-
-
-def pentagonal_series(order: int) -> PowerSeries:
-    """Sparse pentagonal-number expansion of prod(1 - q^m), exact to order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = [0] * (order + 1)
-    for k, g in _pentagonal_terms(order):
-        out[k] = g
-    return PowerSeries(1, order, tuple(out))
-
-
-def jacobi_series(order: int) -> PowerSeries:
-    """prod(1 - q^m)^3: coefficient (-1)^k (2k+1) at the triangular index k(k+1)/2."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    out = [0] * (order + 1)
-    k = 0
-    while k * (k + 1) // 2 <= order:
-        out[k * (k + 1) // 2] = (2 * k + 1) * (-1 if k % 2 else 1)
-        k += 1
-    return PowerSeries(3, order, tuple(out))
 
 
 def _recurrence_terms(order: int) -> int:
@@ -149,9 +123,3 @@ def p26_oracle(n: int) -> int:
         raise ValueError("p26_oracle expects n >= 0")
     return eta_power_series(26, n)[n]
 
-
-def write_coefficient_csv(series: PowerSeries, stream: IO[str]) -> None:
-    """Dump (index, coefficient) rows; coefficients as decimal strings."""
-    stream.write("index,coefficient\n")
-    for i, c in enumerate(series.coeffs):
-        stream.write(f"{i},{c}\n")

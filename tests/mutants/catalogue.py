@@ -99,6 +99,10 @@ CATALOGUE = (
            "_PM1_ROUND = 2_048",
            "_PM1_ROUND = 1",
            "tests/test_arith.py::test_brent_splits_a_small_rough_prime_before_p_minus_1"),
+    Mutant("series-pentagonal-sign", "src/eta26/series.py",
+           "-1 if j % 2 else 1",
+           "1 if j % 2 else -1",
+           "tests/test_series.py::test_eta3_equals_jacobi_and_pentagonal_cubed"),
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eta26.arith as arith
-from eta26 import FactoringBudgetError, Factorization, factorize, is_prime, ord_p, primes_below
+from eta26 import FactoringBudgetError, Factorization, factorize, is_prime, primes_below
 from eta26.arith import TRIAL_DIVISION_BOUND
 
 
@@ -59,26 +59,6 @@ def test_factorize_matches_sympy_on_both_sides_of_the_gcd_split(smooth, rough):
     # runs alone, and the rest above it, where gcds split m first
     m = math.prod(p**e for p, e in smooth) * math.prod(rough)
     assert dict(factorize(m).factors) == sympy.factorint(m)
-
-
-def test_ord_p_examples():
-    assert ord_p(121, 11) == 2
-    assert ord_p(253, 3) == 0
-    assert ord_p(12 * 20 + 13, 23) == 1
-
-
-@given(
-    st.integers(min_value=1, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
-    st.sampled_from([2, 3, 5, 7, 11, 13]),
-)
-def test_ord_p_additive(m1, m2, p):
-    assert ord_p(m1 * m2, p) == ord_p(m1, p) + ord_p(m2, p)
-
-
-def test_ord_p_rejects_composite_p():
-    with pytest.raises(ValueError):
-        ord_p(100, 4)
 
 
 def test_is_prime_examples():
@@ -213,11 +193,10 @@ def test_factorization_validates_itself():
 
 
 def test_factorization_helpers():
-    fac = factorize(121)
-    assert fac.ord(11) == 2
-    assert fac.ord(7) == 0
-    assert fac.is_square
-    assert not factorize(253).is_square
+    # iterating a Factorization yields its (prime, exponent) pairs
+    assert tuple(factorize(121)) == ((11, 2),)
+    assert tuple(factorize(253)) == ((11, 1), (23, 1))
+    assert tuple(factorize(1)) == ()
 
 
 def test_primes_below():

@@ -16,7 +16,6 @@ from eta26 import (
     check_family,
     eta_power_series,
     p26_cm,
-    profile,
     scan,
 )
 from eta26.arith import Factorization, factorize
@@ -31,25 +30,31 @@ from eta26.classify import (
 from eta26.cli import main
 
 
+def _profile_of(n):
+    """Every condition flag for one index, from its own factorization."""
+    return classify_mod._profile(n, factorize(12 * n + 13))
+
+
 def test_profile_examples():
-    prof = profile(9)
+    prof = _profile_of(9)
     assert prof.m == 121
     assert prof.cond_ii and not prof.cond_i
 
-    prof = profile(20)
+    prof = _profile_of(20)
     assert prof.m == 253
     assert prof.cond_i and not prof.cond_ii
     assert not prof.n1 and not prof.n2
 
-    prof = profile(0)
+    prof = _profile_of(0)
     assert prof.m == 13
     assert prof.n1 and prof.n2
     assert prof.prime_power
 
 
 def test_profile_rejects_negative():
+    # the profile of an index is built by apply_theorems, which checks n
     with pytest.raises(ValueError):
-        profile(-1)
+        apply_theorems(-1)
 
 
 def _reference_profile(n, fac):
@@ -63,7 +68,7 @@ def _reference_profile(n, fac):
     return ConditionProfile(
         n=n, m=fac.value, factorization=fac,
         cond_i=has_3mod4_odd and has_2mod3_odd,
-        cond_ii=fac.is_square and bool(fac.factors)
+        cond_ii=all(e % 2 == 0 for _, e in fac) and bool(fac.factors)
         and all(p % 12 == 11 for p, _ in fac),
         n1=not has_3mod4_odd and witness,
         n2=not has_2mod3_odd and witness,
@@ -77,7 +82,7 @@ def _reference_profile(n, fac):
 
 def test_profile_matches_reference_to_30000():
     for n in range(30001):
-        prof = profile(n)
+        prof = _profile_of(n)
         assert prof == _reference_profile(n, prof.factorization), n
 
 
@@ -220,7 +225,7 @@ _REFERENCE_FAMILIES = {25: (1, 5), 49: (3, 7)}
 def _reference_check_family(mult, n):
     offset, q = _REFERENCE_FAMILIES[mult]
     base = factorize(12 * n + 1)
-    prof = profile(mult * n + offset)
+    prof = _profile_of(mult * n + offset)
     value = p26_cm(mult * n + offset)
     if any(e % q == q - 1 for p, e in base if p % 12 == 1):
         report = VanishingReport(
@@ -352,16 +357,15 @@ def test_value_agrees_with_direct_cm():
 
 
 def _count_factorize(monkeypatch) -> list[int]:
-    """Count factorize calls through the hecke and classify bindings."""
+    """Count factorize calls through hecke, the one module that makes them."""
     calls = []
-    for mod in (hecke_mod, classify_mod):
-        real = mod.factorize
+    real = hecke_mod.factorize
 
-        def counted(m, _real=real):
-            calls.append(m)
-            return _real(m)
+    def counted(m):
+        calls.append(m)
+        return real(m)
 
-        monkeypatch.setattr(mod, "factorize", counted)
+    monkeypatch.setattr(hecke_mod, "factorize", counted)
     return calls
 
 
