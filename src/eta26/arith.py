@@ -15,12 +15,9 @@ from itertools import compress
 
 from .errors import FactoringBudgetError
 
-# Trial division handles all factors below this bound before Pollard rho
-# is consulted.
-TRIAL_DIVISION_BOUND = 100_000
-# From here on trial division cannot finish m by itself, so factorize takes
-# the small primes out with gcds against their product first.
-_GCD_SPLIT = TRIAL_DIVISION_BOUND**2
+# Primes below this bound come from one sieve: is_prime looks them up, and
+# primes_below and hecke's prime-value cache read them.
+SIEVE_BOUND = 100_000
 
 # Miller-Rabin with the first k prime bases proves m prime below psi_k, the
 # least strong pseudoprime to all of them (OEIS A014233: Jaeschke 1993; k >= 9
@@ -56,34 +53,17 @@ def _sieve(bound: int) -> bytearray:
     return flags
 
 
-# Primality below TRIAL_DIVISION_BOUND is a lookup in this table.
-_SMALL_FLAGS = _sieve(TRIAL_DIVISION_BOUND)
-_SMALL_PRIMES = list(compress(range(TRIAL_DIVISION_BOUND), _SMALL_FLAGS))
-
-
-@functools.cache
-def _small_primorial() -> int:
-    """The product of _SMALL_PRIMES, built as a product tree on first use."""
-    level = _SMALL_PRIMES
-    while len(level) > 1:
-        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-    return level[0]
-
-
-def _split_smooth(m: int) -> tuple[int, int]:
-    """(s, m // s) for the largest divisor s of m whose primes are all sieve primes."""
-    smooth = 1
-    g = math.gcd(m, _small_primorial())
-    while g > 1:
-        m //= g
-        smooth *= g
-        g = math.gcd(m, g)
-    return smooth, m
+# Primality below SIEVE_BOUND is a lookup in this table.
+_SMALL_FLAGS = _sieve(SIEVE_BOUND)
+_SMALL_PRIMES = list(compress(range(SIEVE_BOUND), _SMALL_FLAGS))
+# factorize trial-divides by these, the 168 primes below 1000, and hands
+# what is left to Miller-Rabin and Pollard-Brent.
+_TRIAL_PRIMES = _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, 1_000)]
 
 
 def primes_below(bound: int) -> list[int]:
     """All primes p < bound, ascending."""
-    if bound <= TRIAL_DIVISION_BOUND:
+    if bound <= SIEVE_BOUND:
         return _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, bound)]
     return list(compress(range(bound), _sieve(bound)))
 
@@ -106,7 +86,7 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_prime(m: int) -> bool:
     """Primality test.
 
-    Exact by sieve lookup below TRIAL_DIVISION_BOUND; deterministic
+    Exact by sieve lookup below SIEVE_BOUND; deterministic
     Miller-Rabin below 3.3e24, stopping after base k once m < psi_k of OEIS
     A014233 (_PSI: 2 bases below 1.37e6, 5 below 2.1e12); beyond that the
     answer is probabilistic with error probability below 2**-128.  The extra
@@ -114,7 +94,7 @@ def is_prime(m: int) -> bool:
     """
     if m < 0:
         raise ValueError("is_prime expects m >= 0")
-    if m < TRIAL_DIVISION_BOUND:
+    if m < SIEVE_BOUND:
         return _SMALL_FLAGS[m] == 1
     for p in _MR_BASES:
         if m % p == 0:
@@ -255,15 +235,11 @@ class Factorization:
 def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Complete prime factorization of m >= 1.
 
-    Trial division below TRIAL_DIVISION_BOUND, then Pollard-Brent and
-    Pollard p - 1 with a Miller-Rabin certifier.  From
-    TRIAL_DIVISION_BOUND**2 (1e10) on, m is tested by is_prime first, and a
-    prime m is returned at once; a composite one is split by gcds against
-    the product of the sieve primes into a part whose primes are all below
-    the bound and a part with none there.  Only the first is trial-divided,
-    and the prime it leaves is a sieve prime, recorded without a test.
-    Every other prime is certified by is_prime, and no number is tested
-    twice in one call.  A composite cofactor that is not a square is split
+    One path for every m: trial division by _TRIAL_PRIMES, the 168 primes
+    below 1000, stops at the first p with p * p > m, so a cofactor left
+    below 1e6 is 1 or a prime.  Every prime that trial division does not
+    take out is certified by is_prime, and no number is tested twice in
+    one call.  A composite cofactor that is not a square is split
     by a Pollard-Brent walk, about sqrt(p) steps for its least prime p; a
     walk that has not split it after _PM1_ROUND - 1 steps tries one p - 1
     pass with bounds _PM1_B1 = 2000 and _PM1_B2 = 20000, and resumes if
@@ -276,25 +252,15 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     if m < 1:
         raise ValueError("factorize expects m >= 1")
     value = m
-    rough = 0  # once split off, the part of m with no prime below the bound
-    verdicts: dict[int, bool] = {}  # is_prime(n) of every n tested so far
-    if m >= _GCD_SPLIT:
-        if is_prime(m):
-            return Factorization(m, ((m, 1),), _certified=True)
-        verdicts[m] = False
-        m, rough = _split_smooth(m)
     counts: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    if rough:  # m is now 1 or a sieve prime
-        if m > 1:
-            counts[m] = 1
-        m = rough
     remaining = {m: 1} if m > 1 else {}  # cofactor -> multiplicity
+    verdicts: dict[int, bool] = {}  # is_prime(n) of every n tested so far
     budget_box = [budget]
     while remaining:
         n, e = remaining.popitem()

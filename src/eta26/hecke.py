@@ -21,7 +21,7 @@ x^2 + y^2 = p and z^2 + 3w^2 = p (_pow12):
         its representation's sign_plus bit.
 
 All functions are pure.  Prime values come from one core, _prime_values, on
-primes already certified; it caches only primes below TRIAL_DIVISION_BOUND.
+primes already certified; it caches only primes below SIEVE_BOUND.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TypeVar
 
-from .arith import TRIAL_DIVISION_BOUND, Factorization, factorize, is_prime
+from .arith import SIEVE_BOUND, Factorization, factorize, is_prime
 from .errors import ConsistencyError
 from .quadrep import _eis_rep, _gauss_rep
 
@@ -94,7 +94,7 @@ def _prime_values(p: int) -> tuple[int, int, int]:
         t1 = 2 * _pow12(e.z, e.w, 3)[0]
         t2 = 2 * _pow12(g.x, g.y, 1)[0]
         values = (t1 if e.sign_plus else -t1, 0, t2 if g.sign_plus else -t2)
-    if p < TRIAL_DIVISION_BOUND:
+    if p < SIEVE_BOUND:
         _SMALL_VALUES[p] = values
     return values
 

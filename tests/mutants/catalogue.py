@@ -75,13 +75,13 @@ CATALOGUE = (
            "from .errors import ConsistencyError, SeriesBudgetError\n",
            "from . import hecke\nfrom .errors import ConsistencyError, SeriesBudgetError\n",
            "tests/test_series.py::test_series_imports_nothing_from_the_package_but_errors"),
-    Mutant("arith-large-m-prime-unchecked", "src/eta26/arith.py",
-           "        if is_prime(m):\n            return Factorization(m, ((m, 1),)",
-           "        if True:\n            return Factorization(m, ((m, 1),)",
-           "tests/test_arith.py::test_factorize_matches_sympy_on_both_sides_of_the_gcd_split"),
-    Mutant("arith-large-m-verdict-dropped", "src/eta26/arith.py",
-           "        verdicts[m] = False\n",
-           "",
+    Mutant("arith-cofactor-prime-unchecked", "src/eta26/arith.py",
+           "verdicts[n] = is_prime(n)",
+           "verdicts[n] = True",
+           "tests/test_arith.py::test_factorize_matches_sympy_on_sieve_smooth_times_rough"),
+    Mutant("arith-trial-division-stops-early", "src/eta26/arith.py",
+           "if p * p > m:",
+           "if p * p >= m:",
            "tests/test_arith.py::test_factorize_tests_only_the_cofactors_it_meets"),
     Mutant("arith-cofactor-retested", "src/eta26/arith.py",
            "        if n not in verdicts:\n",

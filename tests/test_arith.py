@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import eta26.arith as arith
 from eta26 import FactoringBudgetError, Factorization, factorize, is_prime, primes_below
-from eta26.arith import TRIAL_DIVISION_BOUND
+from eta26.arith import SIEVE_BOUND
 
 
 def test_factorize_examples():
@@ -40,7 +40,7 @@ def test_factorize_matches_sympy(m):
 
 # sieve primes, the largest two among them, to be raised to high powers
 _SMOOTH_PRIMES = (2, 3, 5, 7, 13, 97, 9973, 99989, 99991)
-_PRIME_ABOVE_THE_SIEVE = st.integers(TRIAL_DIVISION_BOUND, 10**8).map(sympy.nextprime)
+_PRIME_ABOVE_THE_SIEVE = st.integers(SIEVE_BOUND, 10**8).map(sympy.nextprime)
 
 
 @given(st.lists(st.tuples(st.sampled_from(_SMOOTH_PRIMES), st.integers(1, 20)), max_size=3),
@@ -51,13 +51,32 @@ _PRIME_ABOVE_THE_SIEVE = st.integers(TRIAL_DIVISION_BOUND, 10**8).map(sympy.next
 @example([(99991, 3)], [1_000_003])
 @example([(2, 40)], [1_000_003])
 @example([], [10_000_000_019])
-@example([], [100_003, 100_019])  # past 1e10 with no sieve factor: Pollard on m itself
+@example([], [100_003, 100_019])  # no factor below 1e5: Pollard on m itself
 @settings(max_examples=200, deadline=None)
-def test_factorize_matches_sympy_on_both_sides_of_the_gcd_split(smooth, rough):
+def test_factorize_matches_sympy_on_sieve_smooth_times_rough(smooth, rough):
     # m = (a 1e5-smooth part) * (1, a prime above 1e5, or two of them):
-    # about a fifth of the draws fall below 1e10, where trial division
-    # runs alone, and the rest above it, where gcds split m first
+    # trial division takes out the smooth primes below 1000, and Pollard
+    # splits 9973, 99989 and 99991 off with the rough part
     m = math.prod(p**e for p, e in smooth) * math.prod(rough)
+    assert dict(factorize(m).factors) == sympy.factorint(m)
+
+
+_PRIME_PAST_THE_TRIAL_PRIMES = st.sampled_from(list(sympy.primerange(1001, 10**5)))
+_ONE_OR_A_PRIME_TO_1E12 = st.one_of(st.just(1), st.integers(3, 10**12).map(sympy.prevprime))
+
+
+@given(st.lists(_PRIME_PAST_THE_TRIAL_PRIMES, min_size=1, max_size=3), _ONE_OR_A_PRIME_TO_1E12)
+@example([], 9_999_999_967)  # a prime just below 1e10
+@example([62617], 153313)  # scan 800000000 800000060, n = 800000009
+@example([99991], sympy.nextprime(10**11))
+@example([1009, 1013], sympy.nextprime(10**11))
+@example([3001, 4001, 5003, 7001], sympy.nextprime(10**9))
+@example([99991] * 3, 1_000_003)
+@settings(max_examples=100, deadline=None)
+def test_factorize_matches_sympy_past_the_trial_primes(small, large):
+    # no prime of m is below 1000, so trial division leaves all of m to
+    # Miller-Rabin and Pollard-Brent
+    m = math.prod(small) * large
     assert dict(factorize(m).factors) == sympy.factorint(m)
 
 
@@ -80,7 +99,7 @@ def _trial_division_is_prime(m):
 
 def test_is_prime_table_matches_trial_division():
     # the lookup table below the bound, and Miller-Rabin just past it
-    for m in range(TRIAL_DIVISION_BOUND + 100):
+    for m in range(SIEVE_BOUND + 100):
         assert is_prime(m) == _trial_division_is_prime(m), m
 
 
@@ -172,10 +191,14 @@ def test_factorize_matches_sympy_on_semiprimes(p, q):
     assert dict(factorize(p * q).factors) == sympy.factorint(p * q)
 
 
-def test_factorize_below_the_gcd_split_never_runs_p_minus_1(monkeypatch):
-    # trial division finishes every m < 1e10, so Pollard is never reached
+def test_factorize_with_a_least_prime_below_1e5_never_runs_p_minus_1(monkeypatch):
+    # Brent splits off a prime below 1e5 in well under the _PM1_ROUND - 1
+    # steps that come before a p - 1 pass, and a prime m is never walked
     calls = _record_calls(monkeypatch, "_pm1")
-    for m in [99991 * 99989, 9_999_999_967, *(12 * n + 13 for n in range(2001))]:
+    # the six composite 12n + 13 of scan 800000000 800000060 with no prime below 1000
+    rough = [62617 * 153313, 30391 * 315883, 2003 * 4792811, 2393 * 4011701,
+             59207 * 162143, 25747 * 372859]
+    for m in [99991 * 99989, 9_999_999_967, *rough, *(12 * n + 13 for n in range(2001))]:
         assert math.prod(p**e for p, e in factorize(m)) == m
     assert calls == []
 
@@ -265,7 +288,7 @@ def test_is_prime_agrees_with_sieve_to_2e6():
     flags = bytearray(2_000_000)
     for p in primes_below(2_000_000):
         flags[p] = 1
-    for m in range(TRIAL_DIVISION_BOUND, 2_000_000):
+    for m in range(SIEVE_BOUND, 2_000_000):
         assert is_prime(m) == flags[m], m
 
 
@@ -333,18 +356,20 @@ def _record_calls(monkeypatch, name: str) -> list[int]:
 
 @pytest.mark.parametrize("m, tested", [
     (96, [3]),  # 2^5 * 3: trial division leaves the cofactor 3
-    # from 1e10 on, m itself is tested first, and a prime m ends the call
-    (2**40, [2**40]),
+    (2**40, []),  # trial division leaves no cofactor at all
     (1_000_003, [1_000_003]),
-    (8 * 1_000_003 * 1_000_033,
-     [8 * 1_000_003 * 1_000_033, 1_000_003 * 1_000_033, 1_000_003, 1_000_033]),
+    (8 * 1_000_003 * 1_000_033, [1_000_003 * 1_000_033, 1_000_003, 1_000_033]),
     # the square root is one cofactor of multiplicity 2, tested once
-    (1_000_003**2 * 7, [1_000_003**2 * 7, 1_000_003**2, 1_000_003]),
-    (10_000_000_019, [10_000_000_019]),  # a prime past 1e10: no gcd at all
-    (99991**3 * 1_000_003, [99991**3 * 1_000_003, 1_000_003]),  # the gcds take out 99991^3
+    (1_000_003**2 * 7, [1_000_003**2, 1_000_003]),
+    (10_000_000_019, [10_000_000_019]),  # a prime is tested once, and nothing else
+    # Pollard takes out 99991 one at a time, and 99991 is tested once
+    (99991**3 * 1_000_003,
+     [99991**3 * 1_000_003, 99991**2 * 1_000_003, 99991 * 1_000_003, 1_000_003, 99991]),
     (999_999_999_989, [999_999_999_989]),
-    # no sieve factor, so the part left for Pollard is m, which is not retested
+    # no trial prime divides m, so Pollard splits m, which is not retested
     (100_003 * 100_019, [100_003 * 100_019, 100_003, 100_019]),
+    # 11^2 is divided out, since trial division stops only once p^2 > m
+    (7 * 11**2, []),
 ])
 def test_factorize_tests_only_the_cofactors_it_meets(monkeypatch, m, tested):
     calls = _record_calls(monkeypatch, "is_prime")
@@ -366,24 +391,8 @@ def test_factorize_tests_no_number_twice(monkeypatch, m):
     assert len(calls) == len(set(calls))
 
 
-@pytest.mark.parametrize("m, splits", [
-    (10_000_000_019, 0),
-    (999_999_999_989, 0),
-    (99991**3 * 1_000_003, 1),
-])
-def test_a_prime_past_the_gcd_split_skips_the_split(monkeypatch, m, splits):
-    calls = _record_calls(monkeypatch, "_split_smooth")
-    arith._small_primorial.cache_clear()
-    try:
-        assert dict(factorize(m).factors) == sympy.factorint(m)
-        assert len(calls) == splits
-        assert arith._small_primorial.cache_info().currsize == splits
-    finally:
-        arith._small_primorial.cache_clear()
-
-
 class _CountedPrimes(list):
-    """_SMALL_PRIMES, counting the primes a loop over it goes past.
+    """_TRIAL_PRIMES, counting the primes a loop over it goes past.
 
     The count rises when the loop asks for the next prime (or ends), so a
     prime at which trial division breaks off, untried, is not counted.
@@ -397,14 +406,11 @@ class _CountedPrimes(list):
             self.passed += 1
 
 
-@pytest.mark.parametrize("m, trial_divisions", [
-    (9_999_999_967, 9592),  # a prime below 1e10: every sieve prime is tried
-    (10_000_000_019, 0),  # a prime above 1e10: is_prime settles it before any gcd
-    (999_999_999_989, 0),
-])
-def test_factorize_trial_divides_only_below_the_gcd_split(monkeypatch, m, trial_divisions):
-    primes = _CountedPrimes(arith._SMALL_PRIMES)
-    monkeypatch.setattr(arith, "_SMALL_PRIMES", primes)
+@pytest.mark.parametrize("m", [9_999_999_967, 10_000_000_019, 999_999_999_989])
+def test_factorize_trial_divides_by_the_168_primes_below_1000(monkeypatch, m):
+    # the same 168 divisions on both sides of 1e10
+    primes = _CountedPrimes(arith._TRIAL_PRIMES)
+    monkeypatch.setattr(arith, "_TRIAL_PRIMES", primes)
     assert factorize(m).factors == ((m, 1),)
-    assert primes.passed == trial_divisions
-    assert len(primes) == 9592
+    assert primes.passed == len(primes) == 168
+    assert primes[-1] == 997

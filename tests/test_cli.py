@@ -241,6 +241,10 @@ GOLDEN = Path(__file__).parent / "golden"
     # each window holds one index whose 12n + 1 (13^4, 13^6) fails the gate
     ["mt-check", "25", "2370", "2390"],
     ["mt-check", "49", "402225", "402245"],
+    # six of these 12n + 13 have no prime below 1000 and are not prime, for
+    # example 62617 * 153313 at n = 800000009; recorded while factorize
+    # still trial-divided every m below 1e10 by the primes below 1e5
+    ["scan", "800000000", "800000060"],
 ])
 def test_golden_output_bytes(capsys, argv, fmt):
     # stdout recorded before records were rendered in one place
@@ -267,8 +271,9 @@ def test_golden_coeff_at_a_prime_near_1e14(capsys):
 ])
 def test_golden_coeff_at_composite_large_indices(capsys, n):
     # stdout recorded when factorize still trial-divided every m to 1e5
-    # (the first two), before it tested m ahead of the gcd split (the
-    # third), or before it tried Pollard p - 1 ahead of Brent (the last two)
+    # (the first two), while it took the sieve primes out of every m past
+    # 1e10 by a gcd with their product (the third), or before it tried
+    # Pollard p - 1 ahead of Brent (the last two)
     argv = ["coeff", str(n), "--method", "cm"]
     code, out, _ = run(capsys, argv + ["--output", "json"])
     assert code == 0

@@ -22,7 +22,7 @@ from eta26 import (
     t_prime_power,
     two_squares,
 )
-from eta26.arith import TRIAL_DIVISION_BOUND
+from eta26.arith import SIEVE_BOUND
 from eta26.errors import ConsistencyError
 from eta26.hecke import t_prime_powers
 
@@ -452,8 +452,8 @@ def test_prime_value_cache_holds_only_small_primes(monkeypatch):
     reports, _ = scan(0, 30000)
     assert len(reports) == 30001
     cached = hecke_mod._SMALL_VALUES
-    assert cached and max(cached) < TRIAL_DIVISION_BOUND
-    assert len(cached) <= len(primes_below(TRIAL_DIVISION_BOUND))
+    assert cached and max(cached) < SIEVE_BOUND
+    assert len(cached) <= len(primes_below(SIEVE_BOUND))
     p = 100003  # 7 (mod 12), above the bound; recomputed on each call
     assert t1_prime(p) == t1_prime(p) == _t1_direct(p)
     assert t2_prime(p) == t2_prime(p) == 0
