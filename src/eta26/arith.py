@@ -9,9 +9,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass
-from itertools import compress
+from itertools import compress, count
 
 from .errors import FactoringBudgetError
 
@@ -29,18 +29,22 @@ _PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749
         318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981)
 _EXTRA_ROUNDS = 64
 
-# Default cap on the charged Pollard-Brent steps of one factorize() call.
-DEFAULT_FACTOR_BUDGET = 4_000_000
+# Default cap on the budget units of one factorize() call: one per charged
+# Pollard-Brent step and one per multiplication mod n on an elliptic curve.
+# 1e7 units take about 3 s on a 28-digit cofactor and 4.6 s on a 51-digit
+# one; 40 products of two primes in [5e13, 1e14] took up to 5.4e6.
+DEFAULT_FACTOR_BUDGET = 10_000_000
 
-# Pollard p - 1 bounds.  _PM1_B1 stays below 109**2, so that the order of 2
-# mod 1000000009, 3**2 * 7 * 109**2 * 167, keeps a budget test for Brent.
-_PM1_B1 = 2_000
-_PM1_B2 = 20_000
-# A Brent walk tries one p - 1 pass when its round length reaches this, after
-# _PM1_ROUND - 1 steps, which cost about as much as the pass: a cofactor that
-# Brent splits sooner never pays for p - 1, and one it splits later pays at
-# most about twice what Brent alone would.
-_PM1_ROUND = 2_048
+# A Brent walk hands its cofactor to the elliptic curve method when its round
+# length reaches this, after _ECM_ROUND - 1 steps: a cofactor with a prime
+# below about 1e5 is split by Brent sooner and never pays for a curve.
+_ECM_ROUND = 2_048
+# Curves start at stage-1 bound _ECM_B1, which doubles after every
+# _ECM_CURVES_PER_B1 curves that find no proper factor, so that few B1 (and
+# cached plans) occur.  _ECM_D is the giant step of stage 2.
+_ECM_B1 = 150
+_ECM_CURVES_PER_B1 = 8
+_ECM_D = 210
 
 
 def _sieve(bound: int) -> bytearray:
@@ -111,53 +115,134 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _charge(budget: list[int], units: int, n: int) -> None:
+    """Take units from budget[0], and raise once it is spent."""
+    budget[0] -= units
+    if budget[0] <= 0:
+        raise FactoringBudgetError(f"factoring budget exhausted on composite {n}")
+
+
+def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """x(P + Q) on a Montgomery curve, from x(P), x(Q) and x(P - Q): 6 multiplications."""
+    u = (xp - zp) * (xq + zq)
+    v = (xp + zp) * (xq - zq)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """x(2P) on the Montgomery curve with a24 = (A + 2) / 4: 5 multiplications."""
+    s = (x + z) ** 2
+    d = (x - z) ** 2
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
 @functools.cache
-def _pm1_exponent() -> int:
-    """The product of the largest power <= _PM1_B1 of each prime, built on first use."""
-    e = 1
-    for p in primes_below(_PM1_B1 + 1):
-        q = p
-        while q * p <= _PM1_B1:
-            q *= p
-        e *= q
-    return e
+def _ecm_plan(b1: int) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """(k, steps, cost) of one curve with stage-1 bound b1, built on first use.
 
-
-def _pm1(n: int) -> int:
-    """A proper factor of odd composite n by Pollard's p - 1 method, or 1.
-
-    With E = _pm1_exponent() and h = 2**E mod n, stage 1 finds each prime p
-    of n for which the order of 2 mod p divides E; stage 2 finds those for
-    which it divides E * q for one prime q in (_PM1_B1, _PM1_B2], stepping
-    h**q from prime to prime by a power of h per prime gap.  It returns 1
-    when it finds no prime of n, or all of them at once.
+    k is the product of the largest power <= b1 of each prime.  steps[m - 1]
+    lists the odd j < D / 2, D = _ECM_D, for which m * D - j or m * D + j is
+    a prime in (b1, B2], with B2 = min(100 * b1, SIEVE_BOUND - 1): a pair of
+    primes m * D -+ j costs one factor of the stage-2 product.  cost is the
+    number of multiplications mod n in stage 2, to within a few.
     """
-    h = pow(2, _pm1_exponent(), n)
-    g = math.gcd(h - 1, n)
-    if g == 1:
-        lo, hi = (bisect_right(_SMALL_PRIMES, b) for b in (_PM1_B1, _PM1_B2))
-        primes = _SMALL_PRIMES[lo:hi]
-        hq = pow(h, primes[0], n)
-        acc = hq - 1
-        steps: dict[int, int] = {}  # gap -> h**gap mod n
-        for prev, q in zip(primes, primes[1:]):
-            gap = q - prev
-            if gap not in steps:
-                steps[gap] = pow(h, gap, n)
-            hq = hq * steps[gap] % n
-            acc = acc * (hq - 1) % n
-        g = math.gcd(acc, n)
-    return g if g < n else 1
+    k = 1
+    for p in primes_below(b1 + 1):
+        q = p
+        while q * p <= b1:
+            q *= p
+        k *= q
+    b2 = min(100 * b1, SIEVE_BOUND - 1)
+    steps = []
+    for m in range(1, (b2 + _ECM_D // 2) // _ECM_D + 1):
+        steps.append(tuple(j for j in range(1, _ECM_D // 2, 2) if any(
+            b1 < q <= b2 and _SMALL_FLAGS[q] for q in (m * _ECM_D - j, m * _ECM_D + j))))
+    cost = 6 * (_ECM_D // 4 + 2 + len(steps)) + 3 * sum(map(len, steps))
+    return k, tuple(steps), cost
+
+
+def _ecm_curve(n: int, sigma: int, b1: int, budget: list[int]) -> int:
+    """gcd(n, d) for the d that one elliptic curve finds: 1, a proper factor, or n.
+
+    The curve is Montgomery's By^2 = x^3 + Ax^2 + x with Suyama's
+    parametrization by sigma, and P its point with x = u^3 / v^3.  Stage 1
+    takes Q = k * P by one Montgomery ladder over k = _ecm_plan(b1)[0], and
+    finds each prime p of n at which the order of P divides k.  Stage 2 finds
+    those at which Q has prime order q in (b1, B2]: q = m * D +- j with
+    x(m * D * Q) = x(j * Q) mod p, so the product of x(mDQ) z(jQ) - x(jQ) z(mDQ)
+    over the plan's (m, j) is 0 mod p.  Each stage is charged to budget[0]
+    before it runs, one unit per multiplication mod n: 11 per bit of k in
+    stage 1, and the plan's cost in stage 2.
+    """
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    d = 16 * u**3 * v % n
+    g = math.gcd(d, n)
+    if g != 1:
+        return g
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(d, -1, n) % n
+    k, steps, cost = _ecm_plan(b1)
+    _charge(budget, 11 * k.bit_length(), n)
+    x0, z0 = u**3 % n, v**3 % n
+    x1, z1 = x0, z0
+    x2, z2 = _xdbl(x0, z0, a24, n)
+    for bit in bin(k)[3:]:  # (x1 : z1) = i * P, (x2 : z2) = (i + 1) * P
+        if bit == "1":
+            x1, z1 = _xadd(x2, z2, x1, z1, x0, z0, n)
+            x2, z2 = _xdbl(x2, z2, a24, n)
+        else:
+            x2, z2 = _xadd(x1, z1, x2, z2, x0, z0, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+    g = math.gcd(z1, n)
+    if g != 1:
+        return g
+    _charge(budget, cost, n)
+    # baby steps j * Q for odd j up to D / 2, each from (j - 2) * Q + 2 * Q
+    x2, z2 = _xdbl(x1, z1, a24, n)
+    xj, zj, xp, zp = x1, z1, x1, z1
+    baby = {1: (x1, z1)}
+    for j in range(3, _ECM_D // 2 + 1, 2):
+        xj, zj, xp, zp = *_xadd(xj, zj, x2, z2, xp, zp, n), xj, zj
+        baby[j] = xj, zj
+    # giant steps m * D * Q, each from (m - 1) * D * Q + D * Q
+    xg, zg = _xdbl(xj, zj, a24, n)
+    xm, zm, xn, zn = xg, zg, *_xdbl(xg, zg, a24, n)
+    acc = 1
+    for js in steps:
+        for j in js:
+            xb, zb = baby[j]
+            acc = acc * (xm * zb - xb * zm) % n
+        xm, zm, xn, zn = xn, zn, *_xadd(xn, zn, xg, zg, xm, zm, n)
+    return math.gcd(acc, n)
+
+
+def _ecm(n: int, budget: list[int]) -> int:
+    """A proper factor of odd composite n by Lenstra's elliptic curve method.
+
+    Runs _ecm_curve with sigma drawn from an RNG seeded by n, so the factor is
+    reproducible, and B1 = _ECM_B1 doubled after every _ECM_CURVES_PER_B1
+    curves, until a curve finds a proper factor.  A curve that finds every
+    prime of n at once is passed over like one that finds none.  The curves
+    are charged to budget[0], which ends the search with FactoringBudgetError.
+    """
+    rng = random.Random(n)
+    for curve in count():
+        b1 = _ECM_B1 << (curve // _ECM_CURVES_PER_B1)
+        g = _ecm_curve(n, rng.randrange(6, n - 1), b1, budget)
+        if 1 < g < n:
+            return g
 
 
 def _pollard_brent(n: int, budget: list[int]) -> int:
     """A nontrivial factor of composite odd n, or raises on empty budget.
 
-    budget[0] is charged for the steps that enter the gcd product, not for
-    each round's skip steps or the backtrack: about a third to a half of
-    all squarings (14,719 of 31,102 on 1000000007 * 1000000009).
-    A walk that reaches round length _PM1_ROUND without a factor returns
-    the factor of one _pm1 pass, if it finds one, and resumes otherwise.
+    The walk's head, its rounds of length 1 to _ECM_ROUND / 2, takes
+    _ECM_ROUND - 1 = 2047 steps, and splits off a least prime p below about
+    1e5 in about sqrt(p) steps.  A walk that reaches round length _ECM_ROUND
+    without a factor returns _ecm(n, budget) and does not resume.  budget[0]
+    is charged one unit for each step whose difference enters the gcd
+    product, not for each round's skip steps or the backtrack.
     """
     rng = random.Random(n)
     while True:
@@ -167,8 +252,8 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
-            if r == _PM1_ROUND and (d := _pm1(n)) > 1:
-                return d
+            if r == _ECM_ROUND:
+                return _ecm(n, budget)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -178,11 +263,7 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                budget[0] -= min(m, r - k)
-                if budget[0] <= 0:
-                    raise FactoringBudgetError(
-                        f"factoring budget exhausted on composite {n}"
-                    )
+                _charge(budget, min(m, r - k), n)
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -239,14 +320,18 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     below 1000, stops at the first p with p * p > m, so a cofactor left
     below 1e6 is 1 or a prime.  Every prime that trial division does not
     take out is certified by is_prime, and no number is tested twice in
-    one call.  A composite cofactor that is not a square is split
-    by a Pollard-Brent walk, about sqrt(p) steps for its least prime p; a
-    walk that has not split it after _PM1_ROUND - 1 steps tries one p - 1
-    pass with bounds _PM1_B1 = 2000 and _PM1_B2 = 20000, and resumes if
-    that finds no proper factor.  `budget` is charged only for the Brent
-    steps whose differences enter the gcd product; each round's skip steps,
-    the backtrack and the p - 1 passes are not charged, so one call makes
-    up to about 3 * budget squarings.  A pathological input raises
+    one call.  A composite cofactor that is not a square is split in two
+    parts.  The head is a Pollard-Brent walk of at most 2047 steps
+    (_ECM_ROUND - 1), which splits off a least prime p below about 1e5 in
+    about sqrt(p) steps.  A cofactor that the head does not split goes to
+    Lenstra's elliptic curve method: Montgomery curves with Suyama's sigma
+    from an RNG seeded by the cofactor, stage 1 to B1 by one ladder, stage 2
+    to B2 = min(100 * B1, SIEVE_BOUND - 1) by baby-step giant-step, with B1
+    = 150 doubled after every 8 curves that find no proper factor.  Its cost
+    grows subexponentially in the digits of the least prime, not with the
+    prime's square root.  `budget` is charged one unit per head step whose
+    difference enters the gcd product, and one unit per multiplication mod
+    the cofactor on a curve.  A call that spends it raises
     FactoringBudgetError instead of hanging.
     """
     if m < 1:

@@ -87,18 +87,18 @@ CATALOGUE = (
            "        if n not in verdicts:\n",
            "        if True:\n",
            "tests/test_arith.py::test_factorize_tests_no_number_twice"),
-    Mutant("arith-pm1-stage-2-dropped", "src/eta26/arith.py",
-           "g = math.gcd(acc, n)",
-           "g = 1",
-           "tests/test_arith.py::test_pm1_stage_2"),
-    Mutant("arith-pm1-returns-n", "src/eta26/arith.py",
-           "return g if g < n else 1",
-           "return g",
-           "tests/test_arith.py::test_pm1_returns_1_when_both_p_minus_1_are_smooth"),
-    Mutant("arith-pm1-before-brent", "src/eta26/arith.py",
-           "_PM1_ROUND = 2_048",
-           "_PM1_ROUND = 1",
-           "tests/test_arith.py::test_brent_splits_a_small_rough_prime_before_p_minus_1"),
+    Mutant("arith-ecm-stage-2-dropped", "src/eta26/arith.py",
+           "return math.gcd(acc, n)",
+           "return 1",
+           "tests/test_arith.py::test_ecm_stage_2"),
+    Mutant("arith-ecm-returns-n", "src/eta26/arith.py",
+           "if 1 < g < n:",
+           "if g > 1:",
+           "tests/test_arith.py::test_ecm_never_returns_n"),
+    Mutant("arith-ecm-before-brent", "src/eta26/arith.py",
+           "_ECM_ROUND = 2_048",
+           "_ECM_ROUND = 1",
+           "tests/test_arith.py::test_brent_splits_a_small_rough_prime_before_ecm"),
     Mutant("series-pentagonal-sign", "src/eta26/series.py",
            "-1 if j % 2 else 1",
            "1 if j % 2 else -1",

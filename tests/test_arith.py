@@ -3,7 +3,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import eta26.arith as arith
@@ -125,54 +125,79 @@ def test_factoring_budget_is_enforced():
     assert factorize(n).factors == ((1_000_000_007, 1), (1_000_000_009, 1))
 
 
-# Each prime is 1 mod 12, so each product is a 12n + 13 of the large-index band.
-_PM1_STAGE_1 = 100_000_801 * 100_000_081  # 100000800 = 2^5 3^2 5^2 17 19 43
-_PM1_STAGE_2 = 100_000_213 * 100_000_081  # 100000212 = 2^2 3 13 269 2383
-_PM1_BOTH_SMOOTH = 100_000_801 * 100_000_837  # 100000836 = 2^2 3^2 13 157 1361
-_PM1_NEITHER = 100_000_081 * 100_000_237  # 100000080 has 138889, 100000236 has 41051
+# Both primes are 1 mod 12, so N is a 12n + 13 of the large-index band.
+_ECM_N = 100_000_801 * 100_000_081
+_ECM_PRIMES = (100_000_081, 100_000_801)
 
 
-def test_pm1_stage_1_alone():
-    assert math.gcd(pow(2, arith._pm1_exponent(), _PM1_STAGE_1) - 1, _PM1_STAGE_1) == 100_000_801
-    assert arith._pm1(_PM1_STAGE_1) == 100_000_801
+def _without_stage_2(monkeypatch):
+    k = arith._ecm_plan(150)[0]
+    monkeypatch.setattr(arith, "_ecm_plan", lambda b1: (k, (), 0))
 
 
-def test_pm1_stage_2():
-    assert math.gcd(pow(2, arith._pm1_exponent(), _PM1_STAGE_2) - 1, _PM1_STAGE_2) == 1
-    assert arith._pm1(_PM1_STAGE_2) == 100_000_213
+def test_ecm_stage_1_alone(monkeypatch):
+    # sigma = 7 finds 100000081 with the B1 = 150 ladder alone
+    assert arith._ecm_curve(_ECM_N, 7, 150, [10**6]) == 100_000_081
+    _without_stage_2(monkeypatch)
+    assert arith._ecm_curve(_ECM_N, 7, 150, [10**6]) == 100_000_081
 
 
-def test_pm1_returns_1_when_both_p_minus_1_are_smooth(monkeypatch):
-    # _pm1 first: without its g < n guard, factorize would loop on (n, 1)
-    assert arith._pm1(_PM1_BOTH_SMOOTH) == 1
+def test_ecm_stage_2(monkeypatch):
+    # sigma = 11 needs stage 2: Q = k * P has order 2657 mod 100000801
+    assert arith._ecm_curve(_ECM_N, 11, 150, [10**6]) == 100_000_801
+    _without_stage_2(monkeypatch)
+    assert arith._ecm_curve(_ECM_N, 11, 150, [10**6]) == 1
+
+
+def test_ecm_never_returns_n(monkeypatch):
+    # sigma = 28 finds both primes at once; without _ecm's g < n guard,
+    # factorize would loop on (n, 1)
+    assert arith._ecm_curve(_ECM_N, 28, 150, [10**6]) == _ECM_N
+    real = arith._ecm_curve
+    sigmas = []
+
+    def n_first(n, sigma, b1, budget):
+        sigmas.append(sigma)
+        return n if len(sigmas) == 1 else real(n, sigma, b1, budget)
+
+    monkeypatch.setattr(arith, "_ecm_curve", n_first)
+    assert arith._ecm(_ECM_N, [10**6]) in _ECM_PRIMES
+    assert len(sigmas) >= 2
+    sigmas.clear()
     walks = _record_calls(monkeypatch, "_pollard_brent")
-    assert factorize(_PM1_BOTH_SMOOTH).factors == ((100_000_801, 1), (100_000_837, 1))
-    assert walks == [_PM1_BOTH_SMOOTH]
+    assert factorize(_ECM_N).factors == tuple((p, 1) for p in _ECM_PRIMES)
+    assert walks == [_ECM_N]
+    assert len(sigmas) >= 2
 
 
-def test_pm1_returns_1_when_neither_p_minus_1_is_smooth():
-    assert arith._pm1(_PM1_NEITHER) == 1
+def test_ecm_curve_returns_1_when_it_finds_neither_prime():
+    assert arith._ecm_curve(_ECM_N, 8, 150, [10**6]) == 1
 
 
-def test_pm1_leaves_the_budget_test_semiprime_to_brent():
-    # an _PM1_B1 of 109^2 or more would split it and void the budget test
-    assert sympy.n_order(2, 1_000_000_009) == 3**2 * 7 * 109**2 * 167
-    assert arith._PM1_B1 < 109**2
-    assert arith._pm1(1_000_000_007 * 1_000_000_009) == 1
+def test_the_budget_test_semiprime_reaches_ecm(monkeypatch):
+    # so that the default-budget half of test_factoring_budget_is_enforced
+    # runs the curves as well as the Brent head
+    calls = _record_calls(monkeypatch, "_ecm")
+    n = 1_000_000_007 * 1_000_000_009
+    assert factorize(n).factors == ((1_000_000_007, 1), (1_000_000_009, 1))
+    assert calls == [n]
 
 
-def test_pm1_is_not_charged_to_the_budget():
-    # the walk is charged _PM1_ROUND - 1 steps before its p - 1 pass splits n
+def test_ecm_is_charged_to_the_budget(monkeypatch):
+    # the head spends 2047 units; one more leaves too little for a curve
+    calls = _record_calls(monkeypatch, "_ecm")
     with pytest.raises(FactoringBudgetError):
-        factorize(_PM1_STAGE_1, budget=arith._PM1_ROUND - 1)
-    assert factorize(_PM1_STAGE_1, budget=arith._PM1_ROUND).factors == (
-        (100_000_081, 1), (100_000_801, 1))
+        factorize(_ECM_N, budget=arith._ECM_ROUND - 1)
+    assert calls == []
+    with pytest.raises(FactoringBudgetError):
+        factorize(_ECM_N, budget=arith._ECM_ROUND)
+    assert calls == [_ECM_N]
+    assert factorize(_ECM_N).factors == tuple((p, 1) for p in _ECM_PRIMES)
 
 
-def test_brent_splits_a_small_rough_prime_before_p_minus_1(monkeypatch):
-    # p - 1 would find 100003 (2 3 7 2381) and 100019 (2 43 1163), but
-    # Brent finds them before the walk reaches _PM1_ROUND
-    calls = _record_calls(monkeypatch, "_pm1")
+def test_brent_splits_a_small_rough_prime_before_ecm(monkeypatch):
+    # Brent finds 100003 and 100019 before the walk reaches _ECM_ROUND
+    calls = _record_calls(monkeypatch, "_ecm")
     for m in [100_003 * 100_019, 100_003 * 1_000_000_007, 100_019 * 1_000_000_009]:
         assert factorize(m).factors == tuple((p, 1) for p in sorted(sympy.factorint(m)))
     assert calls == []
@@ -191,10 +216,25 @@ def test_factorize_matches_sympy_on_semiprimes(p, q):
     assert dict(factorize(p * q).factors) == sympy.factorint(p * q)
 
 
-def test_factorize_with_a_least_prime_below_1e5_never_runs_p_minus_1(monkeypatch):
-    # Brent splits off a prime below 1e5 in well under the _PM1_ROUND - 1
-    # steps that come before a p - 1 pass, and a prime m is never walked
-    calls = _record_calls(monkeypatch, "_pm1")
+# the primes in [1e10, 1e14]: 99999999999973 is the largest below 1e14
+_PRIME_PAST_1E10 = st.integers(10**10, 99_999_999_999_972).map(sympy.nextprime)
+
+
+@given(_PRIME_PAST_1E10, _PRIME_PAST_1E10)
+@example(58_740_825_590_497, 69_173_203_083_529)  # coeff 338607588155467189386635325
+@example(10_086_892_921_403, 14_818_080_190_799)
+@settings(max_examples=5, deadline=None)
+def test_factorize_splits_a_product_of_two_primes_past_1e10(p, q):
+    # the curves split these; a Brent walk would take about sqrt(p), up to 1e7, steps
+    assume(p != q)
+    p, q = sorted((p, q))
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_with_a_least_prime_below_1e5_never_runs_ecm(monkeypatch):
+    # Brent splits off a prime below 1e5 in well under the _ECM_ROUND - 1
+    # steps that come before the first curve, and a prime m is never walked
+    calls = _record_calls(monkeypatch, "_ecm")
     # the six composite 12n + 13 of scan 800000000 800000060 with no prime below 1000
     rough = [62617 * 153313, 30391 * 315883, 2003 * 4792811, 2393 * 4011701,
              59207 * 162143, 25747 * 372859]

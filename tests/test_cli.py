@@ -266,14 +266,18 @@ def test_golden_coeff_at_a_prime_near_1e14(capsys):
     833335783334770,  # 12n + 13 = 100000081 * 100000213, both 1 mod 12
     3257063801,  # 12n + 13 = 5^8 * 100057, past 1e10
     833383333,  # 12n + 13 = 100003^2, past 1e10 with no sieve factor
-    833340683338739,  # 12n + 13 = 100000801 * 100000081, split by p - 1 stage 1
-    833346983389202,  # 12n + 13 = 100000801 * 100000837, p - 1 gives n, Brent splits it
+    833340683338739,  # 12n + 13 = 100000801 * 100000081
+    833346983389202,  # 12n + 13 = 100000801 * 100000837
+    # 12n + 13 = 58740825590497 * 69173203083529, both 1 mod 12
+    338607588155467189386635325,
 ])
 def test_golden_coeff_at_composite_large_indices(capsys, n):
     # stdout recorded when factorize still trial-divided every m to 1e5
     # (the first two), while it took the sieve primes out of every m past
-    # 1e10 by a gcd with their product (the third), or before it tried
-    # Pollard p - 1 ahead of Brent (the last two)
+    # 1e10 by a gcd with their product (the third), before it tried
+    # Pollard p - 1 ahead of Brent (the next two), or, for the last, with
+    # sympy.factorint in place of factorize (tests/record_coeff_golden.py),
+    # while factorize still ran out of budget on this 12n + 13
     argv = ["coeff", str(n), "--method", "cm"]
     code, out, _ = run(capsys, argv + ["--output", "json"])
     assert code == 0

@@ -281,6 +281,16 @@ def test_cm_at_indices_lifted_past_the_trial_division_bound(lift_table):
         assert p26_cm(n) == l**12 * lift_table[k], (l, k)
 
 
+@pytest.mark.parametrize("l", [11, 23])
+def test_cm_lifts_by_l_squared_at_a_product_of_two_primes_near_1e14(l):
+    # 12k + 13 = 58740825590497 * 69173203083529: after trial division takes
+    # out l, the curves split the same cofactor as at k
+    k = 338607588155467189386635325
+    n, rem = divmod(l * l * (12 * k + 13) - 13, 12)
+    assert rem == 0
+    assert p26_cm(n) == l**12 * p26_cm(k)
+
+
 def test_sqrt3_component_vanishes_in_combination():
     # m = 5 * 7 * 11 * 13 has odd exponents in every residue class
     bundle = coeff_bundle(5 * 7 * 11 * 13)
