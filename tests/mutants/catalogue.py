@@ -98,7 +98,7 @@ CATALOGUE = (
     Mutant("arith-ecm-before-brent", "src/eta26/arith.py",
            "_ECM_ROUND = 2_048",
            "_ECM_ROUND = 1",
-           "tests/test_arith.py::test_brent_splits_a_small_rough_prime_before_ecm"),
+           "tests/test_arith.py::test_brent_splits_a_small_rough_prime_before_p_minus_1"),
     Mutant("series-pentagonal-sign", "src/eta26/series.py",
            "-1 if j % 2 else 1",
            "1 if j % 2 else -1",

@@ -195,8 +195,10 @@ def test_ecm_is_charged_to_the_budget(monkeypatch):
     assert factorize(_ECM_N).factors == tuple((p, 1) for p in _ECM_PRIMES)
 
 
-def test_brent_splits_a_small_rough_prime_before_ecm(monkeypatch):
-    # Brent finds 100003 and 100019 before the walk reaches _ECM_ROUND
+def test_brent_splits_a_small_rough_prime_before_p_minus_1(monkeypatch):
+    # 100003 - 1 = 2 3 7 2381 and 100019 - 1 = 2 43 1163 are smooth, so a
+    # p - 1 pass would split these as the curves would; Brent finds both
+    # primes first, before the walk reaches _ECM_ROUND
     calls = _record_calls(monkeypatch, "_ecm")
     for m in [100_003 * 100_019, 100_003 * 1_000_000_007, 100_019 * 1_000_000_009]:
         assert factorize(m).factors == tuple((p, 1) for p in sorted(sympy.factorint(m)))
