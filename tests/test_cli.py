@@ -245,6 +245,11 @@ GOLDEN = Path(__file__).parent / "golden"
     # example 62617 * 153313 at n = 800000009; recorded while factorize
     # still trial-divided every m below 1e10 by the primes below 1e5
     ["scan", "800000000", "800000060"],
+    # sqrt(12 * 1000000000060 + 13) is about 3.5e6, past the primes a range
+    # sieve divides out; the window holds 23 zeros
+    ["scan", "1000000000000", "1000000000060"],
+    # 7 divides every 12(49n + 3) + 13 = 49(12n + 1), near 5.9e10
+    ["mt-check", "49", "100000000", "100000030"],
 ])
 def test_golden_output_bytes(capsys, argv, fmt):
     # stdout recorded before records were rendered in one place
