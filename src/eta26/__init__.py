@@ -13,7 +13,7 @@ verifies divisibility and nonvanishing claims over prime ranges, and cli
 exposes everything with machine-readable output.
 """
 
-from .arith import Factorization, factorize, is_prime, primes_below
+from .arith import Factorization, factor_progression, factorize, is_prime, primes_below
 from .classify import (
     ConditionProfile,
     ScanSummary,
@@ -70,6 +70,7 @@ __all__ = [
     "check_family",
     "coeff_bundle",
     "eta_power_series",
+    "factor_progression",
     "factorize",
     "is_prime",
     "one_three_squares",

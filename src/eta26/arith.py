@@ -9,9 +9,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
 from itertools import compress, count
+from typing import Iterator
 
 from .errors import FactoringBudgetError
 
@@ -45,6 +46,9 @@ _ECM_ROUND = 2_048
 _ECM_B1 = 150
 _ECM_CURVES_PER_B1 = 8
 _ECM_D = 210
+
+# factor_progression sieves blocks of at most this many indices.
+_PROGRESSION_BLOCK = 512
 
 
 def _sieve(bound: int) -> bytearray:
@@ -278,6 +282,21 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
         # cycle degenerated; retry with a fresh polynomial
 
 
+def _trial_divide(m: int, primes: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """(p, e) for each p of primes that divides m, and the rest, up to the first p * p > rest."""
+    factors = []
+    for p in primes:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    return factors, m
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Complete prime factorization: value == prod(p**e for p, e in factors).
@@ -337,13 +356,8 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     if m < 1:
         raise ValueError("factorize expects m >= 1")
     value = m
-    counts: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+    factors, m = _trial_divide(m, _TRIAL_PRIMES)
+    counts = dict(factors)
     remaining = {m: 1} if m > 1 else {}  # cofactor -> multiplicity
     verdicts: dict[int, bool] = {}  # is_prime(n) of every n tested so far
     budget_box = [budget]
@@ -363,3 +377,61 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         for part in parts:
             remaining[part] = remaining.get(part, 0) + e
     return Factorization(value, tuple(sorted(counts.items())), _certified=True)
+
+
+def _with_cofactor(value: int, factors: list[tuple[int, int]], rest: int,
+                   limit: int) -> Factorization:
+    """value's factorization from factors and rest, which has no prime below sqrt(limit)."""
+    if rest >= limit:  # it may be composite
+        factors.extend(factorize(rest).factors)
+    elif rest > 1:
+        factors.append((rest, 1))
+    return Factorization(value, tuple(factors), _certified=True)
+
+
+def factor_progression(step: int, offset: int, start: int,
+                       end: int) -> Iterator[Factorization]:
+    """factorize(step * n + offset) for n = start, ..., end, in index order, by one sieve.
+
+    The first index is trial-divided by the primes below 1000, as factorize
+    does, with no per-prime set-up.  Then each prime p up to
+    min(sqrt(step * end + offset), SIEVE_BOUND - 1) takes its first index
+    once, and divides it and every p-th index after it out of blocks of
+    2, 4, ... up to _PROGRESSION_BLOCK indices; a p that divides step
+    divides every term or none.  What is left of a term is 1 or a prime
+    unless the primes were capped, or for the first index stopped at 1000:
+    a cofactor that may be composite goes to factorize, with its budget.
+    """
+    if step < 1 or offset < 1 or start < 0 or end < start:
+        raise ValueError("factor_progression expects step, offset >= 1 and 0 <= start <= end")
+    bound = min(math.isqrt(step * end + offset), SIEVE_BOUND - 1)
+    count = bisect_right(_SMALL_PRIMES, bound)
+    value = step * start + offset
+    yield _with_cofactor(value, *_trial_divide(value, _TRIAL_PRIMES[:count]),
+                         (min(bound, _TRIAL_PRIMES[-1]) + 1) ** 2)
+    lo, size, limit = start + 1, 2, (bound + 1) ** 2
+    sieve = []  # [p, stride, next index] of each prime that divides some term
+    for p in _SMALL_PRIMES[:count]:
+        if step % p:
+            sieve.append([p, p, lo + -(step * lo + offset) * pow(step, -1, p) % p])
+        elif offset % p == 0:
+            sieve.append([p, 1, lo])
+    while lo <= end:
+        size = min(size, end - lo + 1)
+        rests = list(range(step * lo + offset, step * (lo + size) + offset, step))
+        found: list[list[tuple[int, int]]] = [[] for _ in rests]
+        for entry in sieve:
+            p, stride, i = entry[0], entry[1], entry[2] - lo
+            if i < size:
+                for i in range(i, size, stride):
+                    r, e = rests[i] // p, 1
+                    while r % p == 0:
+                        r //= p
+                        e += 1
+                    rests[i] = r
+                    found[i].append((p, e))
+                entry[2] = lo + i + stride
+        for i, rest in enumerate(rests):
+            yield _with_cofactor(step * (lo + i) + offset, found[i], rest, limit)
+        lo += size
+        size = min(2 * size, _PROGRESSION_BLOCK)

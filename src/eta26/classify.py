@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import hecke
-from .arith import Factorization
+from .arith import Factorization, factor_progression
 from .errors import ConsistencyError
 
 PREDICT_ZERO = "zero"
@@ -47,7 +47,7 @@ FAMILIES = {25: 5, 49: 7}
 
 @dataclass(frozen=True)
 class ConditionProfile:
-    """All condition flags for one n, derived from factorize(12n + 13)."""
+    """All condition flags for one n, derived from the factorization of 12n + 13."""
 
     n: int
     m: int
@@ -114,11 +114,11 @@ def _profile(n: int, fac: Factorization) -> ConditionProfile:
     return prof
 
 
-def _evaluate(n: int) -> tuple[ConditionProfile, int]:
-    """Profile and p26(n), both from the one factorization coeff_bundle makes."""
+def _evaluate(n: int, fac: Factorization | None) -> tuple[ConditionProfile, int]:
+    """Profile and p26(n), both from one factorization of 12n + 13 (fac, if given)."""
     if n < 0:
         raise ValueError(f"expected n >= 0, got {n}")
-    bundle = hecke.coeff_bundle(12 * n + 13)
+    bundle = hecke.coeff_bundle(12 * n + 13, fac)
     return _profile(n, bundle.factorization), bundle.p26
 
 
@@ -132,9 +132,12 @@ _NONZERO_RULES = (
 )
 
 
-def apply_theorems(n: int) -> VanishingReport:
-    """Predict zero/nonzero where a condition applies and reconcile with p26_cm."""
-    prof, value = _evaluate(n)
+def apply_theorems(n: int, fac: Factorization | None = None) -> VanishingReport:
+    """Predict zero/nonzero where a condition applies and reconcile with p26_cm.
+
+    fac, if given, is the factorization of 12n + 13.
+    """
+    prof, value = _evaluate(n, fac)
     zero_hits = tuple(name for name, attr in _ZERO_RULES if getattr(prof, attr))
     nonzero_hits = tuple(name for name, attr in _NONZERO_RULES if getattr(prof, attr))
     if zero_hits and nonzero_hits:
@@ -146,7 +149,7 @@ def apply_theorems(n: int) -> VanishingReport:
     return VanishingReport(prof, value, predicted, zero_hits + nonzero_hits)
 
 
-def check_family(mult: int, n: int) -> VanishingReport:
+def check_family(mult: int, n: int, fac: Factorization | None = None) -> VanishingReport:
     """Vanishing biconditional for p26(mult*n + offset), gated on 12n + 1.
 
     mult is a key of FAMILIES: 25 (offset 1, q = 5) or 49 (offset 3,
@@ -157,13 +160,14 @@ def check_family(mult: int, n: int) -> VanishingReport:
     m = 12(mult*n + offset) + 13 = q^2 (12n + 1), so mt-check factors each
     index once: as q != 1 (mod 12), m has the primes = 1 (mod 12) of
     12n + 1 with the same exponents, and every exponent keeps its parity.
+    fac, if given, is the factorization of that m.
     """
     if mult not in FAMILIES:
         raise ValueError(f"unknown family {mult}; expected one of {list(FAMILIES)}")
     if n < 0:
         raise ValueError("check_family expects n >= 0")
     q, offset = FAMILIES[mult], (mult - 13) // 12
-    prof, value = _evaluate(mult * n + offset)
+    prof, value = _evaluate(mult * n + offset, fac)
     if not _exponent_gate(prof.factorization, q):
         return VanishingReport(prof, value, PREDICT_NONE, (f"mod-{q}-exponent-gate-failed",))
     predicted = PREDICT_ZERO if prof.cond_i else PREDICT_NONZERO
@@ -190,22 +194,27 @@ class ScanSummary:
 
 
 class RangeStream:
-    """evaluate(n) for n in [start, end], in index order, counted as it is read.
+    """evaluate(n, fac) for n in [start, end], in index order, counted as it is read.
 
-    Read it once; the counters then summarize it with no second pass.  A
-    zero is explained when its report predicts zero.  The index lists hold
-    each report's profile.n.  Callers check the bounds.
+    fac factors step * n + offset, from one arith.factor_progression over
+    the range: 12n + 13 by default, for apply_theorems; step 12 * mult and
+    offset mult for check_family of mult.  Read it once; the counters then
+    summarize it with no second pass.  A zero is explained when its report
+    predicts zero.  The index lists hold each report's profile.n.  Callers
+    check the bounds.
     """
 
-    def __init__(self, evaluate: Callable[[int], VanishingReport],
-                 start: int, end: int) -> None:
+    def __init__(self, evaluate: Callable[[int, Factorization], VanishingReport],
+                 start: int, end: int, step: int = 12, offset: int = 13) -> None:
         self.evaluate, self.start, self.end = evaluate, start, end
+        self.step, self.offset = step, offset
         self.zero_count = self.explained = self.gated = 0
         self.unexplained: list[int] = []
         self.inconsistent: list[int] = []
 
     def __iter__(self) -> Iterator[VanishingReport]:
-        for report in map(self.evaluate, range(self.start, self.end + 1)):
+        facs = factor_progression(self.step, self.offset, self.start, self.end)
+        for report in map(self.evaluate, range(self.start, self.end + 1), facs):
             prof = report.profile
             self.gated += report.predicted != PREDICT_NONE
             if report.p26_value == 0:

@@ -42,6 +42,9 @@ class UsageError(Exception):
     pass
 
 
+_to_json = json.JSONEncoder(separators=(",", ":")).encode  # every other JSON line
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -56,19 +59,19 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _emit_reports(output: str, reports: Iterable[R], record: Callable[[R], dict],
+def _emit_reports(output: str, reports: Iterable[R], json_line: Callable[[R], str],
                   csv_header: str, cells: Callable[[R], Iterable[object]],
                   text: Callable[[R], str],
                   summary: Callable[[], tuple[dict, str]] | None = None) -> None:
     """Write reports to stdout as JSON lines, a CSV table or text lines.
 
     reports is read once, in order, from any iterable, and each record is
-    written as it is rendered.  A CSV row is the report's cells, each
-    written by _cell.  summary is called after the last report; it gives
-    the JSON summary record and the text summary line (CSV has none).
+    written as it is rendered: json_line(report), or a CSV row of the
+    report's cells, each written by _cell.  summary is called after the last
+    report; it gives the JSON summary record and the text summary line (CSV
+    has none).
     """
-    to_json = json.JSONEncoder(separators=(",", ":")).encode
-    render = {"json": lambda r: to_json(record(r)),
+    render = {"json": json_line,
               "csv": lambda r: ",".join(map(_cell, cells(r))), "text": text}[output]
     if output == "csv":
         sys.stdout.write(f"{csv_header}\n")
@@ -76,7 +79,7 @@ def _emit_reports(output: str, reports: Iterable[R], record: Callable[[R], dict]
         sys.stdout.write(f"{render(report)}\n")
     if summary is not None and output != "csv":
         summary_fields, summary_text = summary()
-        sys.stdout.write(f"{to_json({'summary': summary_fields})}\n"
+        sys.stdout.write(f"{_to_json({'summary': summary_fields})}\n"
                          if output == "json" else f"{summary_text}\n")
 
 
@@ -124,7 +127,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     if method == "both":
         record.update((key, str(v)) for key, v in values.items())
     agree = "  (cm and series agree)" if method == "both" else ""
-    _emit_reports(args.output, [record], dict, "n,r,method,coefficient",
+    _emit_reports(args.output, [record], _to_json, "n,r,method,coefficient",
                   lambda _: (n, r, method, value),
                   lambda _: f"p_{r}({n}) = {value}{agree}")
     return EXIT_OK
@@ -148,8 +151,23 @@ def _vanishing_record(report: classify.VanishingReport) -> dict:
     }
 
 
-# record, CSV header and CSV cells (the record's values) of a VanishingReport
-_VANISHING = (_vanishing_record,
+_JSON_BOOL = ("false", "true")
+
+
+def _vanishing_json(report: classify.VanishingReport) -> str:
+    """_vanishing_record(report) as one JSON line; its words are fixed ASCII, none escaped."""
+    prof = report.profile
+    factors = ",".join([f"[{p},{e}]" for p, e in prof.factorization.factors])
+    theorems = ",".join([f'"{name}"' for name in report.explanation])
+    return (f'{{"n":{prof.n},"m":{prof.m},"factors":[{factors}],'
+            f'"condI":{_JSON_BOOL[prof.cond_i]},"condII":{_JSON_BOOL[prof.cond_ii]},'
+            f'"n1":{_JSON_BOOL[prof.n1]},"n2":{_JSON_BOOL[prof.n2]},'
+            f'"theorems":[{theorems}],"p26":"{report.p26_value}",'
+            f'"predicted":"{report.predicted}","consistent":{_JSON_BOOL[report.consistent]}}}')
+
+
+# JSON line, CSV header and CSV cells (the record's values) of a VanishingReport
+_VANISHING = (_vanishing_json,
               "n,m,factors,condI,condII,n1,n2,theorems,p26,predicted,consistent",
               lambda r: _vanishing_record(r).values())
 
@@ -219,7 +237,7 @@ def _props_text(r: props.PropReport) -> str:
 
 def _cmd_verify_props(args: argparse.Namespace) -> int:
     reports = props.run_all(args.prime_bound, args.exp_bound, args.l_bound)
-    _emit_reports(args.output, reports, _props_record,
+    _emit_reports(args.output, reports, lambda r: _to_json(_props_record(r)),
                   "prop_id,prime_bound,exponent_bound,checked,failures",
                   lambda r: (r.prop_id, r.prime_bound, r.exponent_bound, r.checked,
                              len(r.failures)),
@@ -239,8 +257,9 @@ def _mt_check_text(r: classify.VanishingReport) -> str:
 def _cmd_mt_check(args: argparse.Namespace) -> int:
     if args.end < args.start:
         raise UsageError("mt-check expects start <= end")
-    stream = classify.RangeStream(lambda n: classify.check_family(args.family, n),
-                                  args.start, args.end)
+    mult = args.family  # its indices' m = 12 * mult * n + mult = mult * (12n + 1)
+    stream = classify.RangeStream(lambda n, fac: classify.check_family(mult, n, fac),
+                                  args.start, args.end, 12 * mult, mult)
     checked = args.end - args.start + 1
     # a report outside the gate predicts nothing and is always consistent
     _emit_reports(args.output, stream, *_VANISHING, _mt_check_text, lambda: (

@@ -179,12 +179,15 @@ class CoeffBundle:
         object.__setattr__(self, "p26", p26)
 
     def combination(self) -> AlgInt3:
-        """2 * (t1p - t2p), the multiple of P26_DENOMINATOR p26 is read from."""
-        return 2 * (self.t1p - AlgInt3(self.t2p, 0))
+        """2 * (t1p - t2p), the multiple of P26_DENOMINATOR p26 is read from, built on integers."""
+        return AlgInt3(2 * (self.t1p.a - self.t2p), 2 * self.t1p.b)
 
 
-def coeff_bundle(m: int) -> CoeffBundle:
+def coeff_bundle(m: int, fac: Factorization | None = None) -> CoeffBundle:
     """Assemble t1p and t2p at m = 12n + 13 multiplicatively.
+
+    fac is m's factorization (ValueError if its value is not m), or None
+    to have factorize make it.
 
     The paper's minus twists negate t1p (t2p) when an odd number of primes
     = 7 (5) mod 12 divide m to an odd power.  That sign never matters:
@@ -194,7 +197,10 @@ def coeff_bundle(m: int) -> CoeffBundle:
     """
     if m % 12 != 1 or m < 13:
         raise ValueError(f"coeff_bundle expects m = 1 mod 12, m >= 13, got {m}")
-    fac = factorize(m)
+    if fac is None:
+        fac = factorize(m)
+    elif fac.value != m:
+        raise ValueError(f"coeff_bundle got the factorization of {fac.value}, not of m={m}")
     a, b, t2p = 1, 0, 1
     for p, alpha in fac:
         ta, tb, t2 = _prime_values(p)

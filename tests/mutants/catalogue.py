@@ -103,6 +103,20 @@ CATALOGUE = (
            "-1 if j % 2 else 1",
            "1 if j % 2 else -1",
            "tests/test_series.py::test_eta3_equals_jacobi_and_pentagonal_cubed"),
+    Mutant("arith-progression-exponent-loop-dropped", "src/eta26/arith.py",
+           "                    while r % p == 0:\n"
+           "                        r //= p\n"
+           "                        e += 1\n",
+           "",
+           "tests/test_arith.py::test_factor_progression_equals_factorize"),
+    Mutant("arith-progression-step-divisor-skipped", "src/eta26/arith.py",
+           "elif offset % p == 0:",
+           "elif False:",
+           "tests/test_cli.py::test_golden_output_bytes"),
+    Mutant("cli-json-booleans-swapped", "src/eta26/cli.py",
+           '_JSON_BOOL = ("false", "true")',
+           '_JSON_BOOL = ("true", "false")',
+           "tests/test_cli.py::test_golden_output_bytes"),
 )
 
 

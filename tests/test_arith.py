@@ -264,6 +264,63 @@ def test_factorization_helpers():
     assert tuple(factorize(1)) == ()
 
 
+# (step, offset) of the progressions that scan and mt-check sieve: 12n + 13,
+# and 12(mult * n + offset) + 13 = mult * (12n + 1) for mult = 25 and 49
+_PROGRESSIONS = {"scan": (12, 13), 25: (300, 25), 49: (588, 49)}
+
+
+def _factorized(step, offset, start, end):
+    return [factorize(step * n + offset) for n in range(start, end + 1)]
+
+
+@pytest.mark.parametrize("step, offset, start, length", [
+    (12, 13, 0, 3000),
+    (12, 13, 10**9, 600),  # sqrt(top) past SIEVE_BOUND: the primes are capped
+    (12, 13, 10**12, 300),  # cofactors past SIEVE_BOUND ** 2 go to factorize
+    (300, 25, 0, 1000),  # 5 divides every term
+    (588, 49, 10**8, 300),  # 7 divides every term, past the cap
+    (588, 49, 0, 0),
+])
+def test_factor_progression_equals_factorize(step, offset, start, length):
+    end = start + length
+    assert list(arith.factor_progression(step, offset, start, end)) == _factorized(
+        step, offset, start, end)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 300), st.sampled_from(list(_PROGRESSIONS)))
+@settings(max_examples=30, deadline=None)
+def test_factor_progression_matches_factorize(start, length, family):
+    step, offset = _PROGRESSIONS[family]
+    end = start + length
+    assert list(arith.factor_progression(step, offset, start, end)) == _factorized(
+        step, offset, start, end)
+
+
+def test_factor_progression_takes_each_start_offset_once(monkeypatch):
+    # the first index is trial-divided with no inverse mod any prime; then
+    # each sieving prime that does not divide 12 takes one, for the window
+    inverses = []
+
+    def counted(base, exp, mod):
+        if exp == -1:
+            inverses.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(arith, "pow", counted, raising=False)
+    facs = arith.factor_progression(12, 13, 10**6, 10**6 + 3000)
+    next(facs)
+    assert inverses == []
+    rest = list(facs)
+    assert len(rest) == 3000
+    assert inverses == primes_below(math.isqrt(12 * (10**6 + 3000) + 13) + 1)[2:]
+
+
+def test_factor_progression_rejects_bad_windows():
+    for args in ((0, 13, 0, 5), (12, 0, 0, 5), (12, 13, -1, 5), (12, 13, 6, 5)):
+        with pytest.raises(ValueError):
+            next(arith.factor_progression(*args))
+
+
 def test_primes_below():
     assert primes_below(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_below(2) == []

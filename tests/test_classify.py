@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eta26.arith as arith_mod
 import eta26.classify as classify_mod
 import eta26.hecke as hecke_mod
 from eta26 import (
@@ -357,23 +358,30 @@ def test_value_agrees_with_direct_cm():
 
 
 def _count_factorize(monkeypatch) -> list[int]:
-    """Count factorize calls through hecke, the one module that makes them."""
+    """Count factorize calls through hecke and arith, the modules that make them."""
     calls = []
-    real = hecke_mod.factorize
+    real = arith_mod.factorize
 
     def counted(m):
         calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(hecke_mod, "factorize", counted)
+    for mod in (arith_mod, hecke_mod):
+        monkeypatch.setattr(mod, "factorize", counted)
     return calls
 
 
 def test_scan_factors_each_index_once(monkeypatch):
+    # scan reads one sieve over the window, and below the sieve's prime
+    # bound it makes no factorize and no is_prime call
     calls = _count_factorize(monkeypatch)
+    tested, real_is_prime = [], arith_mod.is_prime
+    for mod in (arith_mod, hecke_mod):
+        monkeypatch.setattr(mod, "is_prime", lambda m: tested.append(m) or real_is_prime(m))
     reports, _ = scan(0, 50)
     assert len(reports) == 51
-    assert sorted(calls) == [12 * n + 13 for n in range(51)]
+    assert [r.profile.factorization.value for r in reports] == [12 * n + 13 for n in range(51)]
+    assert calls == tested == []
 
 
 def test_check_family_factors_once_per_index(monkeypatch):

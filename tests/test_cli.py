@@ -354,8 +354,8 @@ def test_range_commands_write_records_before_the_last_index(monkeypatch, argv,
     real = getattr(classify, evaluator)
     seen_at_last = []
 
-    def watched(*args):
-        if args[-1] == last:
+    def watched(*args):  # (n, fac), after the family for check_family
+        if args[-2] == last:
             seen_at_last.append(out.getvalue())
         return real(*args)
 
@@ -366,35 +366,47 @@ def test_range_commands_write_records_before_the_last_index(monkeypatch, argv,
     assert out.getvalue().encode() == (GOLDEN / f"{'-'.join(argv)}.json").read_bytes()
 
 
-def test_scan_through_main_factors_each_index_once(monkeypatch, capsys):
+def _count_calls(monkeypatch, name, modules):
+    """Record the argument of every call of name, as each module looks it up."""
     calls = []
-    real = hecke.factorize
+    for mod in modules:
+        real = getattr(mod, name)
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+        def counted(m, *rest, _real=real):
+            calls.append(m)
+            return _real(m, *rest)
 
-    monkeypatch.setattr(hecke, "factorize", counted)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_scan_through_main_factors_each_index_once(monkeypatch, capsys):
+    # one sieve factors the window: each index gets one factorization, and
+    # below the sieve's prime bound no factorize and no is_prime call
+    built = []
+    real_init = arith.Factorization.__post_init__
+
+    def counted_init(self, _certified):
+        built.append(self.value)
+        real_init(self, _certified)
+
+    monkeypatch.setattr(arith.Factorization, "__post_init__", counted_init)
+    factored = _count_calls(monkeypatch, "factorize", (arith, hecke))
+    tested = _count_calls(monkeypatch, "is_prime", (arith, hecke, quadrep))
     code, out, _ = run(capsys, ["scan", "0", "50", "--output", "json"])
     assert code == 0
     assert len(out.splitlines()) == 52
-    assert sorted(calls) == [12 * n + 13 for n in range(51)]
+    assert built == [12 * n + 13 for n in range(51)]
+    assert factored == tested == []
 
 
 def test_scan_through_main_certifies_each_index_at_most_once(monkeypatch, capsys):
-    # factorize certifies the primes of 12n + 13; the prime values read
-    # them without testing primality again
-    calls = []
-    for mod in (arith, hecke, quadrep):
-        real = mod.is_prime
-
-        def counted(m, _real=real):
-            calls.append(m)
-            return _real(m)
-
-        monkeypatch.setattr(mod, "is_prime", counted)
+    # sqrt(12 * 1000000300 + 13) is past the sieve's prime bound, so a
+    # cofactor past SIEVE_BOUND ** 2 is certified by factorize; the prime
+    # values read the primes without testing primality again
+    calls = _count_calls(monkeypatch, "is_prime", (arith, hecke, quadrep))
     monkeypatch.setattr(hecke, "_SMALL_VALUES", {})
-    code, out, _ = run(capsys, ["scan", "20000", "20300", "--output", "json"])
+    code, out, _ = run(capsys, ["scan", "1000000000", "1000000300", "--output", "json"])
     assert code == 0
     assert len(out.splitlines()) == 302
     assert 0 < len(calls) <= 301
@@ -403,10 +415,10 @@ def test_scan_through_main_certifies_each_index_at_most_once(monkeypatch, capsys
 def test_scan_red_flag_mid_range_keeps_the_records_before_it(monkeypatch, capsys):
     real = classify.apply_theorems
 
-    def faulty(n):
+    def faulty(n, fac):
         if n == 40:
             raise ConsistencyError("synthetic inexact division at n=40")
-        return real(n)
+        return real(n, fac)
 
     monkeypatch.setattr(classify, "apply_theorems", faulty)
     code, out, err = run(capsys, ["scan", "0", "60", "--output", "json"])
@@ -420,9 +432,9 @@ def _spoil(monkeypatch, evaluator, at, profile=(), **changes):
     """Make classify.<evaluator> return an altered report at index at."""
     real = getattr(classify, evaluator)
 
-    def spoiled(*args):
+    def spoiled(*args):  # (n, fac), after the family for check_family
         report = real(*args)
-        if args[-1] != at:
+        if args[-2] != at:
             return report
         spoilt = dataclasses.replace(report.profile, **dict(profile))
         return dataclasses.replace(report, profile=spoilt, **changes)
@@ -457,6 +469,22 @@ def test_mt_check_violation_stderr_and_summary(monkeypatch, capsys):
     assert err == "red flag: biconditional violated at n=[76]\n"
     assert json.loads(out.splitlines()[-1])["summary"] == {
         "checked": 11, "gated": 11, "violations": [76]}
+
+
+def test_vanishing_json_is_the_encoded_record():
+    # the one format string writes what the generic encoder writes of the record
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    streams = [classify.RangeStream(classify.apply_theorems, 0, 3000)]
+    for mult in classify.FAMILIES:
+        streams.append(classify.RangeStream(
+            lambda n, fac, mult=mult: classify.check_family(mult, n, fac), 0, 1000,
+            12 * mult, mult))
+    seen = 0
+    for stream in streams:
+        for report in stream:
+            assert cli._vanishing_json(report) == encode(cli._vanishing_record(report))
+            seen += 1
+    assert seen == 3001 + 2 * 1001
 
 
 def test_series_term_budget_exits_1_with_golden_stderr(capsys):

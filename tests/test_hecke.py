@@ -195,6 +195,12 @@ def test_bundle_at_253():
     assert bundle.t2p == 0
 
 
+def test_bundle_takes_the_factorization_of_m_only():
+    assert coeff_bundle(253, factorize(253)) == coeff_bundle(253)
+    with pytest.raises(ValueError):
+        coeff_bundle(253, factorize(265))
+
+
 def test_bundle_rejects_wrong_residue():
     with pytest.raises(ValueError):
         coeff_bundle(14)
