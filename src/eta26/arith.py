@@ -282,10 +282,10 @@ def _pollard_brent(n: int, budget: list[int]) -> int:
         # cycle degenerated; retry with a fresh polynomial
 
 
-def _trial_divide(m: int, primes: list[int]) -> tuple[list[tuple[int, int]], int]:
-    """(p, e) for each p of primes that divides m, and the rest, up to the first p * p > rest."""
+def _trial_divide(m: int) -> tuple[list[tuple[int, int]], int]:
+    """(p, e) for each trial prime that divides m, and the rest, up to the first p * p > rest."""
     factors = []
-    for p in primes:
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         if m % p == 0:
@@ -337,28 +337,41 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
 
     One path for every m: trial division by _TRIAL_PRIMES, the 168 primes
     below 1000, stops at the first p with p * p > m, so a cofactor left
-    below 1e6 is 1 or a prime.  Every prime that trial division does not
-    take out is certified by is_prime, and no number is tested twice in
-    one call.  A composite cofactor that is not a square is split in two
-    parts.  The head is a Pollard-Brent walk of at most 2047 steps
-    (_ECM_ROUND - 1), which splits off a least prime p below about 1e5 in
-    about sqrt(p) steps.  A cofactor that the head does not split goes to
-    Lenstra's elliptic curve method: Montgomery curves with Suyama's sigma
-    from an RNG seeded by the cofactor, stage 1 to B1 by one ladder, stage 2
-    to B2 = min(100 * B1, SIEVE_BOUND - 1) by baby-step giant-step, with B1
-    = 150 doubled after every 8 curves that find no proper factor.  Its cost
-    grows subexponentially in the digits of the least prime, not with the
-    prime's square root.  `budget` is charged one unit per head step whose
+    below 997**2 is 1 or a prime, taken with no primality test.  Every
+    larger prime that trial division does not take out is certified by
+    is_prime, and no number is tested twice in one call.  A composite
+    cofactor that is not a square is split in two parts.  The head is a
+    Pollard-Brent walk of at most 2047 steps (_ECM_ROUND - 1), which splits
+    off a least prime p below about 1e5 in about sqrt(p) steps.  A cofactor
+    that the head does not split goes to Lenstra's elliptic curve method:
+    Montgomery curves with Suyama's sigma from an RNG seeded by the
+    cofactor, stage 1 to B1 by one ladder, stage 2 to B2 = min(100 * B1,
+    SIEVE_BOUND - 1) by baby-step giant-step, with B1 = 150 doubled after
+    every 8 curves that find no proper factor.  Its cost grows
+    subexponentially in the digits of the least prime, not with the prime's
+    square root.  `budget` is charged one unit per head step whose
     difference enters the gcd product, and one unit per multiplication mod
     the cofactor on a curve.  A call that spends it raises
     FactoringBudgetError instead of hanging.
     """
     if m < 1:
         raise ValueError("factorize expects m >= 1")
-    value = m
-    factors, m = _trial_divide(m, _TRIAL_PRIMES)
+    return _with_cofactor(m, *_trial_divide(m), _TRIAL_PRIMES[-1] ** 2, budget)
+
+
+def _with_cofactor(value: int, factors: list[tuple[int, int]], rest: int, limit: int,
+                   budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
+    """value's factorization from the primes factors and what is left of value, rest.
+
+    A rest below limit is 1 or a prime.  From limit on, each cofactor is
+    certified by is_prime or split, as factorize describes, charging budget.
+    """
+    if rest < limit:  # 1 or a prime
+        if rest > 1:
+            factors.append((rest, 1))
+        return Factorization(value, tuple(factors), _certified=True)
     counts = dict(factors)
-    remaining = {m: 1} if m > 1 else {}  # cofactor -> multiplicity
+    remaining = {rest: 1}  # cofactor -> multiplicity
     verdicts: dict[int, bool] = {}  # is_prime(n) of every n tested so far
     budget_box = [budget]
     while remaining:
@@ -379,36 +392,23 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     return Factorization(value, tuple(sorted(counts.items())), _certified=True)
 
 
-def _with_cofactor(value: int, factors: list[tuple[int, int]], rest: int,
-                   limit: int) -> Factorization:
-    """value's factorization from factors and rest, which has no prime below sqrt(limit)."""
-    if rest >= limit:  # it may be composite
-        factors.extend(factorize(rest).factors)
-    elif rest > 1:
-        factors.append((rest, 1))
-    return Factorization(value, tuple(factors), _certified=True)
-
-
 def factor_progression(step: int, offset: int, start: int,
                        end: int) -> Iterator[Factorization]:
     """factorize(step * n + offset) for n = start, ..., end, in index order, by one sieve.
 
-    The first index is trial-divided by the primes below 1000, as factorize
-    does, with no per-prime set-up.  Then each prime p up to
-    min(sqrt(step * end + offset), SIEVE_BOUND - 1) takes its first index
-    once, and divides it and every p-th index after it out of blocks of
-    2, 4, ... up to _PROGRESSION_BLOCK indices; a p that divides step
+    The first index goes to factorize, with no per-prime set-up.  Then each
+    prime p up to min(sqrt(step * end + offset), SIEVE_BOUND - 1) takes its
+    first index once, and divides it and every p-th index after it out of
+    blocks of 2, 4, ... up to _PROGRESSION_BLOCK indices; a p that divides step
     divides every term or none.  What is left of a term is 1 or a prime
-    unless the primes were capped, or for the first index stopped at 1000:
-    a cofactor that may be composite goes to factorize, with its budget.
+    unless the primes were capped: a cofactor that may be composite goes
+    straight to the cofactor loop of _with_cofactor, with its budget.
     """
     if step < 1 or offset < 1 or start < 0 or end < start:
         raise ValueError("factor_progression expects step, offset >= 1 and 0 <= start <= end")
+    yield factorize(step * start + offset)
     bound = min(math.isqrt(step * end + offset), SIEVE_BOUND - 1)
     count = bisect_right(_SMALL_PRIMES, bound)
-    value = step * start + offset
-    yield _with_cofactor(value, *_trial_divide(value, _TRIAL_PRIMES[:count]),
-                         (min(bound, _TRIAL_PRIMES[-1]) + 1) ** 2)
     lo, size, limit = start + 1, 2, (bound + 1) ** 2
     sieve = []  # [p, stride, next index] of each prime that divides some term
     for p in _SMALL_PRIMES[:count]:

@@ -2,10 +2,10 @@
 
 Each verifier states its claims about one prime as a generator of
 witness tuples (prime, exponent, detail); one table, _VERIFIERS, gives each
-its prop id and residue classes mod 12, and one sweep checks the primes of
+its prop id and residue classes mod 12, and run_all checks the primes of
 those classes below a configurable bound.  The result is a PropReport whose
 failure list must be empty on a correct build.  Any entry is a red-flag
-output carrying the full witness.  The sweep makes one pass over the
+output carrying the full witness.  run_all makes one pass over the
 sieve's primes: t1(p) and t2(p) are read once per prime from the trusted
 core hecke._prime_values, with no second primality test, and handed to
 every verifier whose classes contain p; each report keeps its own count,
@@ -36,6 +36,7 @@ from .series import p26_oracle
 DEFAULT_PRIME_BOUND = 10_000
 DEFAULT_EXPONENT_BOUND = 14
 DEFAULT_L_BOUND = 3
+MIN_PRIME_BOUND = 14  # 13 is the least prime = 1 (mod 12)
 
 _SPOT_CHECKS = 3  # primes per class compared against full precision
 
@@ -109,49 +110,16 @@ def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int) -> bool:
     return _residues(t_p, p, alpha_max, q) == [_pair(v, q) for v in exact]
 
 
-# the least prime of each residue class mod 12 that a verifier sweeps
-_LEAST_PRIME = {1: 13, 5: 5, 7: 7}
-MIN_PRIME_BOUND = max(_LEAST_PRIME.values()) + 1  # the least bound every verifier takes
-
-
-def _sweep(prime_bound: int, bounds: dict[Claims, int]) -> list[PropReport]:
-    """One pass over the primes below prime_bound, one report per verifier.
-
-    bounds maps the claims of some verifiers in _VERIFIERS to their bounds;
-    the reports come in the table's order.  The primes come from the sieve,
-    so their values are read straight from the trusted core
-    hecke._prime_values, once per prime in any verifier's classes, and handed
-    as t1(p), t2(p) to claims(p, spot, t1, t2, bound) of each verifier whose
-    classes contain p mod 12; spot is set for that verifier's first
-    _SPOT_CHECKS primes.
-    """
-    entries = [(claims, prop_id, classes, bounds[claims])
-               for claims, prop_id, classes in _VERIFIERS if claims in bounds]
-    for _, prop_id, classes, bound in entries:
-        least = min(_LEAST_PRIME[c] for c in classes)
-        if prime_bound <= least:
-            raise ValueError(f"prime_bound must be > {least}")
-        if bound < 0:
-            raise ValueError(f"{prop_id}: bound must be >= 0, got {bound}")
-    failures: list[list[Witness]] = [[] for _ in entries]
-    checked = [0] * len(entries)
-    wanted = {c for _, _, classes, _ in entries for c in classes}
-    for p in primes_below(prime_bound):
-        r = p % 12
-        if r not in wanted:
-            continue
-        a, b, t2 = _prime_values(p)
-        t1 = AlgInt3(a, b)
-        for i, (claims, _, classes, bound) in enumerate(entries):
-            if r in classes:
-                failures[i].extend(claims(p, checked[i] < _SPOT_CHECKS, t1, t2, bound))
-                checked[i] += 1
-    return [PropReport(prop_id, prime_bound, bound, checked[i], tuple(failures[i]))
-            for i, (_, prop_id, _, bound) in enumerate(entries)]
-
-
 def _t2_at_5_mod_12(p: int, spot: bool, t1: AlgInt3, v: int,
                     exponent_bound: int) -> Iterator[Witness]:
+    """Divisibility of t2 at primes p = 5 (mod 12).
+
+    Claims checked per prime: 5 divides t2(p) except at p = 5; 5 never
+    divides t2(p^(2a)) for 1 <= a <= exponent_bound; t2(p) mod 7 lies in
+    {0, 2, 5}; and 7 | t2(p) exactly when p = 1, 2 or 4 (mod 7).  The
+    first _SPOT_CHECKS primes must also satisfy t2(p) = -792 p26(n) with
+    12n + 13 = 5p, from the series oracle.
+    """
     if p == 5:
         if v % 5 == 0:
             yield (p, 1, "expected 5 to not divide t2(5)")
@@ -172,23 +140,16 @@ def _t2_at_5_mod_12(p: int, spot: bool, t1: AlgInt3, v: int,
             yield (p, 1, "t2(p) != -792 * p26((5p - 13)/12)")
 
 
-def verify_t2_at_5_mod_12(
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-) -> PropReport:
-    """Divisibility of t2 at primes p = 5 (mod 12).
-
-    Claims checked per prime: 5 divides t2(p) except at p = 5; 5 never
-    divides t2(p^(2a)) for 1 <= a <= exponent_bound; t2(p) mod 7 lies in
-    {0, 2, 5}; and 7 | t2(p) exactly when p = 1, 2 or 4 (mod 7).  The
-    first _SPOT_CHECKS primes must also satisfy t2(p) = -792 p26(n) with
-    12n + 13 = 5p, from the series oracle.
-    """
-    return _sweep(prime_bound, {_t2_at_5_mod_12: exponent_bound})[0]
-
-
 def _t1_at_7_mod_12(p: int, spot: bool, t: AlgInt3, t2: int,
                     exponent_bound: int) -> Iterator[Witness]:
+    """Divisibility of t1 at primes p = 7 (mod 12).
+
+    t1(p) = h * sqrt(-3); checks 5 | h always, 7 | h exactly when
+    p != 7, and that neither 5 nor 7 divides t1(p^(2a)) for
+    1 <= a <= exponent_bound.  The first _SPOT_CHECKS primes must also
+    satisfy 617760 h = 32617728 p26(n) with 12n + 13 = 7p, from the
+    series oracle.
+    """
     if t.a != 0:
         yield (p, 1, "t1(p) should be a pure sqrt(-3) multiple")
     if spot:
@@ -212,23 +173,16 @@ def _t1_at_7_mod_12(p: int, spot: bool, t: AlgInt3, t2: int,
                 yield (p, 2 * a, f"expected {q} to not divide t1(p^(2a))")
 
 
-def verify_t1_at_7_mod_12(
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-) -> PropReport:
-    """Divisibility of t1 at primes p = 7 (mod 12).
-
-    t1(p) = h * sqrt(-3); checks 5 | h always, 7 | h exactly when
-    p != 7, and that neither 5 nor 7 divides t1(p^(2a)) for
-    1 <= a <= exponent_bound.  The first _SPOT_CHECKS primes must also
-    satisfy 617760 h = 32617728 p26(n) with 12n + 13 = 7p, from the
-    series oracle.
-    """
-    return _sweep(prime_bound, {_t1_at_7_mod_12: exponent_bound})[0]
-
-
 def _split_at_1_mod_12(p: int, spot: bool, v1: AlgInt3, v2: int,
                        exponent_bound: int) -> Iterator[Witness]:
+    """Residue membership and exponent criteria at primes p = 1 (mod 12).
+
+    Checks t2(p) mod 5 in {2, 3}, t2(p) mod 7 in {0, 2, 5}, t1(p) mod 7
+    in {2, 5}, t1(p) mod 5 in {2, 3}, and the two exponent criteria:
+    5 divides t2(p^a) exactly when a = 4 (mod 5), and 7 divides t1(p^a)
+    exactly when a = 6 (mod 7).  exponent_bound >= 14 crosses both
+    periods at least twice.
+    """
     if v1.b != 0:
         yield (p, 1, "t1(p) should be rational at p = 1 (mod 12)")
     if v2 % 5 not in (2, 3):
@@ -253,23 +207,15 @@ def _split_at_1_mod_12(p: int, spot: bool, v1: AlgInt3, v2: int,
             yield (p, None, "reduced mod-7 recursion mismatch")
 
 
-def verify_split_at_1_mod_12(
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-) -> PropReport:
-    """Residue membership and exponent criteria at primes p = 1 (mod 12).
-
-    Checks t2(p) mod 5 in {2, 3}, t2(p) mod 7 in {0, 2, 5}, t1(p) mod 7
-    in {2, 5}, t1(p) mod 5 in {2, 3}, and the two exponent criteria:
-    5 divides t2(p^a) exactly when a = 4 (mod 5), and 7 divides t1(p^a)
-    exactly when a = 6 (mod 7).  exponent_bound >= 14 crosses both
-    periods at least twice.
-    """
-    return _sweep(prime_bound, {_split_at_1_mod_12: exponent_bound})[0]
-
-
 def _periodicity(p: int, spot: bool, t1: AlgInt3, t2: int,
                  l_bound: int) -> Iterator[Witness]:
+    """Period-5 / period-7 congruences of prime powers at p = 1 (mod 12).
+
+    With s = +1 when t2(p) = 2 (mod 5) and s = -1 when t2(p) = 3 (mod 5):
+    t2(p^(5l+k)) = s * t2(p^(5(l-1)+k)) (mod 5) for l in 1..l_bound and
+    offsets k in 0..5.  Analogously mod 7 for t1, with s = +1 when
+    t1(p) = 2 (mod 7) and s = -1 when t1(p) = 5 (mod 7).
+    """
     v2 = t2 % 5
     v1 = t1.a % 7
     if v2 not in (2, 3):
@@ -291,22 +237,16 @@ def _periodicity(p: int, spot: bool, t1: AlgInt3, t2: int,
                 yield (p, 7 * l + k, "mod-7 periodicity violated")
 
 
-def verify_periodicity(
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    l_bound: int = DEFAULT_L_BOUND,
-) -> PropReport:
-    """Period-5 / period-7 congruences of prime powers at p = 1 (mod 12).
-
-    With s = +1 when t2(p) = 2 (mod 5) and s = -1 when t2(p) = 3 (mod 5):
-    t2(p^(5l+k)) = s * t2(p^(5(l-1)+k)) (mod 5) for l in 1..l_bound and
-    offsets k in 0..5.  Analogously mod 7 for t1, with s = +1 when
-    t1(p) = 2 (mod 7) and s = -1 when t1(p) = 5 (mod 7).
-    """
-    return _sweep(prime_bound, {_periodicity: l_bound})[0]
-
-
 def _difference_nonvanishing(p: int, spot: bool, t1: AlgInt3, t2: int,
                              exponent_bound: int) -> Iterator[Witness]:
+    """Nonvanishing of t1(p^a) - t2(p^a) in full precision.
+
+    For p = 1 (mod 12): the difference is nonzero for all 1 <= a <=
+    exponent_bound; additionally t1(p) = 2a0 and t2(p) = 2b0 with a0, b0
+    odd, and t1(p^2) - t2(p^2) = 4(a0^2 - b0^2) exactly.  For p = 5 and
+    p = 7 (mod 12) the difference is checked at even exponents, where
+    both values are rational integers.
+    """
     if p % 12 == 1:
         v1, v2 = t1.a, t2
         if v1 % 2 != 0 or (v1 // 2) % 2 != 1:
@@ -337,21 +277,6 @@ def _difference_nonvanishing(p: int, spot: bool, t1: AlgInt3, t2: int,
                 yield (p, a, "t1(p^a) = t2(p^a)")
 
 
-def verify_difference_nonvanishing(
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-) -> PropReport:
-    """Nonvanishing of t1(p^a) - t2(p^a) in full precision.
-
-    For p = 1 (mod 12): the difference is nonzero for all 1 <= a <=
-    exponent_bound; additionally t1(p) = 2a0 and t2(p) = 2b0 with a0, b0
-    odd, and t1(p^2) - t2(p^2) = 4(a0^2 - b0^2) exactly.  For p = 5 and
-    p = 7 (mod 12) the difference is checked at even exponents, where
-    both values are rational integers.
-    """
-    return _sweep(prime_bound, {_difference_nonvanishing: exponent_bound})[0]
-
-
 # (claims, prop_id, residue classes mod 12) of each verifier, in run_all's order
 _VERIFIERS: tuple[tuple[Claims, str, tuple[int, ...]], ...] = (
     (_t2_at_5_mod_12, "t2-divisibility-5mod12", (5,)),
@@ -367,6 +292,33 @@ def run_all(
     exponent_bound: int = DEFAULT_EXPONENT_BOUND,
     l_bound: int = DEFAULT_L_BOUND,
 ) -> list[PropReport]:
-    """Run every verifier at the given bounds, in a fixed order."""
-    return _sweep(prime_bound, {claims: l_bound if claims is _periodicity else exponent_bound
-                                for claims, _, _ in _VERIFIERS})
+    """Every verifier in one pass over the primes below prime_bound, one report each.
+
+    The reports come in _VERIFIERS' order; periodicity takes l_bound and
+    the other verifiers take exponent_bound.  The primes come from the
+    sieve, so their values are read straight from the trusted core
+    hecke._prime_values, once per prime of classes 1, 5 and 7 (mod 12), and
+    handed as t1(p), t2(p) to claims(p, spot, t1, t2, bound) of each verifier
+    whose classes contain p mod 12; spot is set for that verifier's first
+    _SPOT_CHECKS primes.
+    """
+    if prime_bound < MIN_PRIME_BOUND:
+        raise ValueError(f"prime_bound must be >= {MIN_PRIME_BOUND}, got {prime_bound}")
+    if exponent_bound < 0 or l_bound < 0:
+        raise ValueError(f"bounds must be >= 0, got {exponent_bound} and {l_bound}")
+    bounds = [l_bound if claims is _periodicity else exponent_bound
+              for claims, _, _ in _VERIFIERS]
+    failures: list[list[Witness]] = [[] for _ in _VERIFIERS]
+    checked = [0] * len(_VERIFIERS)
+    for p in primes_below(prime_bound):
+        r = p % 12
+        if r not in (1, 5, 7):
+            continue
+        a, b, t2 = _prime_values(p)
+        t1 = AlgInt3(a, b)
+        for i, (claims, _, classes) in enumerate(_VERIFIERS):
+            if r in classes:
+                failures[i].extend(claims(p, checked[i] < _SPOT_CHECKS, t1, t2, bounds[i]))
+                checked[i] += 1
+    return [PropReport(prop_id, prime_bound, bounds[i], checked[i], tuple(failures[i]))
+            for i, (_, prop_id, _) in enumerate(_VERIFIERS)]

@@ -117,6 +117,14 @@ CATALOGUE = (
            '_JSON_BOOL = ("false", "true")',
            '_JSON_BOOL = ("true", "false")',
            "tests/test_cli.py::test_golden_output_bytes"),
+    Mutant("props-prime-bound-unchecked", "src/eta26/props.py",
+           "if prime_bound < MIN_PRIME_BOUND:",
+           "if False:",
+           "tests/test_props.py::test_negative_bounds_raise"),
+    Mutant("arith-cofactor-assumed-prime", "src/eta26/arith.py",
+           "if rest < limit:",
+           "if True:",
+           "tests/test_arith.py::test_factor_progression_equals_factorize"),
 )
 
 

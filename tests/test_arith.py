@@ -315,6 +315,22 @@ def test_factor_progression_takes_each_start_offset_once(monkeypatch):
     assert inverses == primes_below(math.isqrt(12 * (10**6 + 3000) + 13) + 1)[2:]
 
 
+def test_factor_progression_factorizes_only_the_first_index(monkeypatch):
+    # past the cap, a cofactor with no prime below SIEVE_BOUND goes straight
+    # to the cofactor loop and is not trial-divided a second time
+    calls = []
+    real = arith.factorize
+
+    def counted(m, *rest):
+        calls.append(m)
+        return real(m, *rest)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    facs = list(arith.factor_progression(12, 13, 10**12, 10**12 + 200))
+    assert len(facs) == 201
+    assert calls == [12 * 10**12 + 13]
+
+
 def test_factor_progression_rejects_bad_windows():
     for args in ((0, 13, 0, 5), (12, 0, 0, 5), (12, 13, -1, 5), (12, 13, 6, 5)):
         with pytest.raises(ValueError):
@@ -454,7 +470,7 @@ def _record_calls(monkeypatch, name: str) -> list[int]:
 
 
 @pytest.mark.parametrize("m, tested", [
-    (96, [3]),  # 2^5 * 3: trial division leaves the cofactor 3
+    (96, []),  # 2^5 * 3: trial division leaves 3, below 997^2 and so a prime
     (2**40, []),  # trial division leaves no cofactor at all
     (1_000_003, [1_000_003]),
     (8 * 1_000_003 * 1_000_033, [1_000_003 * 1_000_033, 1_000_003, 1_000_033]),
@@ -474,7 +490,8 @@ def test_factorize_tests_only_the_cofactors_it_meets(monkeypatch, m, tested):
     calls = _record_calls(monkeypatch, "is_prime")
     fac = factorize(m)
     assert sorted(calls) == sorted(tested)
-    assert math.prod(p**e for p, e in fac) == m
+    # a cofactor taken as prime with no test must be one
+    assert dict(fac.factors) == sympy.factorint(m)
 
 
 @pytest.mark.parametrize("m", [

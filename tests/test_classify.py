@@ -372,8 +372,8 @@ def _count_factorize(monkeypatch) -> list[int]:
 
 
 def test_scan_factors_each_index_once(monkeypatch):
-    # scan reads one sieve over the window, and below the sieve's prime
-    # bound it makes no factorize and no is_prime call
+    # scan reads one sieve over the window: below the sieve's prime bound
+    # it factorizes only the first index, 13, and makes no is_prime call
     calls = _count_factorize(monkeypatch)
     tested, real_is_prime = [], arith_mod.is_prime
     for mod in (arith_mod, hecke_mod):
@@ -381,7 +381,8 @@ def test_scan_factors_each_index_once(monkeypatch):
     reports, _ = scan(0, 50)
     assert len(reports) == 51
     assert [r.profile.factorization.value for r in reports] == [12 * n + 13 for n in range(51)]
-    assert calls == tested == []
+    assert calls == [13]
+    assert tested == []
 
 
 def test_check_family_factors_once_per_index(monkeypatch):

@@ -12,14 +12,12 @@ from eta26 import (
 from eta26.cli import main
 from eta26.hecke import AlgInt3, t_prime_powers
 from eta26.quadrep import EisRep, GaussRep
-from eta26.props import (
-    run_all,
-    verify_difference_nonvanishing,
-    verify_periodicity,
-    verify_split_at_1_mod_12,
-    verify_t1_at_7_mod_12,
-    verify_t2_at_5_mod_12,
-)
+from eta26.props import run_all
+
+
+def _reports(prime_bound, exponent_bound, l_bound=1):
+    """run_all's reports at these bounds, by prop id."""
+    return {r.prop_id: r for r in run_all(prime_bound, exponent_bound, l_bound)}
 
 
 def test_t2_reference_residues_mod_7():
@@ -32,7 +30,7 @@ def test_t2_reference_residues_mod_7():
 
 
 def test_t2_divisibility_sweep():
-    report = verify_t2_at_5_mod_12(800, 6)
+    report = _reports(800, 6)["t2-divisibility-5mod12"]
     assert report.ok
     assert report.checked == sum(1 for p in primes_below(800) if p % 12 == 5)
     assert report.prop_id == "t2-divisibility-5mod12"
@@ -43,7 +41,7 @@ def test_t1_divisibility_values():
     assert t1_prime(7).b % 7 != 0
     for p in (19, 31):
         assert t1_prime(p).b % 35 == 0
-    report = verify_t1_at_7_mod_12(800, 6)
+    report = _reports(800, 6)["t1-divisibility-7mod12"]
     assert report.ok and report.checked > 0
 
 
@@ -53,7 +51,7 @@ def test_split_divisibility_values():
     assert t_prime_power(t1_prime(13).a, 13, 6) % 7 == 0
     assert t_prime_power(t1_prime(13).a, 13, 5) % 7 != 0
     assert t_prime_power(t2_prime(13), 13, 0) == 1
-    report = verify_split_at_1_mod_12(800, 14)
+    report = _reports(800, 14)["divisibility-1mod12"]
     assert report.ok and report.checked > 0
 
 
@@ -73,7 +71,7 @@ def test_periodicity_direct_at_13():
 
 
 def test_periodicity_sweep():
-    report = verify_periodicity(800, 2)
+    report = _reports(800, 0, 2)["periodicity-1mod12"]
     assert report.ok and report.checked > 0
 
 
@@ -86,7 +84,7 @@ def test_difference_nonvanishing_values():
     # at p = 5: t1(25) = -5^12 and t2(25) = t2(5)^2 - 5^12
     d = t_prime_power(0, 5, 2) - t_prime_power(t2_prime(5), 5, 2)
     assert d == -(20592**2) == -424030464
-    report = verify_difference_nonvanishing(400, 8)
+    report = _reports(400, 8)["t1-t2-difference-nonvanishing"]
     assert report.ok and report.checked > 0
 
 
@@ -173,17 +171,17 @@ def test_flipped_y_convention_at_5_mod_12_is_reported(flip):
     # the series oracle fixes the sign
     flip("two_squares", _flip_y_at_5_mod_12)
     assert t2_prime(257) % 7 == 5
-    assert _failing(run_all(400, 4, 2)) == {"t2-divisibility-5mod12"}
-    report = verify_t2_at_5_mod_12(400, 4)
-    assert [p for p, _, _ in report.failures] == [5, 17, 29]
+    reports = _reports(400, 4, 2)
+    assert _failing(reports.values()) == {"t2-divisibility-5mod12"}
+    assert [p for p, _, _ in reports["t2-divisibility-5mod12"].failures] == [5, 17, 29]
 
 
 def test_flipped_w_orientation_at_7_mod_12_is_reported(flip):
     flip("one_three_squares", _flip_w_at_7_mod_12)
     assert t1_prime(7).b == 102960
-    assert _failing(run_all(400, 4, 2)) == {"t1-divisibility-7mod12"}
-    report = verify_t1_at_7_mod_12(400, 4)
-    assert [p for p, _, _ in report.failures] == [7, 19, 31]
+    reports = _reports(400, 4, 2)
+    assert _failing(reports.values()) == {"t1-divisibility-7mod12"}
+    assert [p for p, _, _ in reports["t1-divisibility-7mod12"].failures] == [7, 19, 31]
 
 
 @pytest.mark.parametrize("name, wrap, witness", [
@@ -196,32 +194,17 @@ def test_verify_props_exits_2_on_flipped_sign(flip, capsys, name, wrap, witness)
     assert witness in capsys.readouterr().out
 
 
-VERIFIERS = (
-    verify_t2_at_5_mod_12,
-    verify_t1_at_7_mod_12,
-    verify_split_at_1_mod_12,
-    verify_periodicity,
-    verify_difference_nonvanishing,
-)
-
-
 def test_negative_bounds_raise():
-    for verify in VERIFIERS:
-        with pytest.raises(ValueError):
-            verify(100, -1)
-    # a prime bound at or below the least prime of a verifier's classes is
-    # refused rather than reported as ok with nothing checked
-    for verify, least in ((verify_t2_at_5_mod_12, 5), (verify_t1_at_7_mod_12, 7),
-                          (verify_split_at_1_mod_12, 13), (verify_periodicity, 13),
-                          (verify_difference_nonvanishing, 5)):
-        for prime_bound in (least - 1, least):
-            with pytest.raises(ValueError, match=f"prime_bound must be > {least}$"):
-                verify(prime_bound, 3)
-        report = verify(least + 1, 3)
-        assert report.ok and report.checked == 1
     for bounds in ((100, -1, 1), (100, 1, -1)):
         with pytest.raises(ValueError):
             run_all(*bounds)
+    # below 14 the verifiers at p = 1 (mod 12) would check no prime, so the
+    # bound is refused rather than reported as ok with nothing checked
+    with pytest.raises(ValueError, match="prime_bound must be >= 14, got 13$"):
+        run_all(13, 3, 3)
+    reports = run_all(14, 3, 3)
+    assert all(r.ok for r in reports)
+    assert [r.checked for r in reports] == [1, 1, 1, 1, 3]
 
 
 def _skew_t2_at_1_mod_12(monkeypatch):
@@ -272,12 +255,13 @@ def test_perturbed_reduced_recursion_is_reported(monkeypatch):
 
     monkeypatch.setattr(props, "_residues", perturbed)
     expected = {
-        verify_t2_at_5_mod_12: [(p, 5) for p in (5, 17, 29)],
-        verify_t1_at_7_mod_12: [(p, q) for p in (7, 19, 31) for q in (5, 7)],
-        verify_split_at_1_mod_12: [(p, q) for p in (13, 37, 61) for q in (5, 7)],
+        "t2-divisibility-5mod12": [(p, 5) for p in (5, 17, 29)],
+        "t1-divisibility-7mod12": [(p, q) for p in (7, 19, 31) for q in (5, 7)],
+        "divisibility-1mod12": [(p, q) for p in (13, 37, 61) for q in (5, 7)],
     }
-    for verify, witnesses in expected.items():
-        report = verify(400, 4)
+    reports = _reports(400, 4)
+    for prop_id, witnesses in expected.items():
+        report = reports[prop_id]
         assert [(p, a, detail) for p, a, detail in report.failures if a is None] == [
             (p, None, f"reduced mod-{q} recursion mismatch") for p, q in witnesses
         ]
@@ -344,7 +328,16 @@ def test_pair_recursion_matches_the_object_recursion(a, b, p, alpha):
     assert all(type(v) is AlgInt3 for v in got)
 
 
-@pytest.mark.parametrize("fault", ["none", "flip-y", "flip-w", "skew-t2"])
+# the verifiers whose claims each fault breaks, and the only ones that fail
+_FAILING = {
+    "none": set(),
+    "flip-y": {"t2-divisibility-5mod12"},
+    "flip-w": {"t1-divisibility-7mod12"},
+    "skew-t2": {"divisibility-1mod12", "periodicity-1mod12", "t1-t2-difference-nonvanishing"},
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAILING))
 @pytest.mark.parametrize("bounds", [(400, 4, 2), (3000, 30, 9), (10000, 14, 3)])
 def test_one_pass_equals_the_separate_verifiers(flip, monkeypatch, fault, bounds):
     if fault == "flip-y":
@@ -354,16 +347,13 @@ def test_one_pass_equals_the_separate_verifiers(flip, monkeypatch, fault, bounds
     elif fault == "skew-t2":
         _skew_t2_at_1_mod_12(monkeypatch)
     prime_bound, exponent_bound, l_bound = bounds
-    separate = [
-        verify_t2_at_5_mod_12(prime_bound, exponent_bound),
-        verify_t1_at_7_mod_12(prime_bound, exponent_bound),
-        verify_split_at_1_mod_12(prime_bound, exponent_bound),
-        verify_periodicity(prime_bound, l_bound),
-        verify_difference_nonvanishing(prime_bound, exponent_bound),
-    ]
     reports = run_all(*bounds)
-    assert reports == separate
-    assert (fault == "none") == all(r.ok for r in reports)
+    assert _failing(reports) == _FAILING[fault]
+    # each verifier keeps its own bound and count
+    assert [r.exponent_bound for r in reports] == [exponent_bound] * 3 + [l_bound, exponent_bound]
+    classes = [{5}, {7}, {1}, {1}, {1, 5, 7}]
+    assert [r.checked for r in reports] == [
+        sum(1 for p in primes_below(prime_bound) if p % 12 in c) for c in classes]
 
 
 def test_one_pass_reads_each_prime_value_once(monkeypatch):
