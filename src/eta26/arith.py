@@ -399,17 +399,17 @@ def factor_progression(step: int, offset: int, start: int,
     The first index goes to factorize, with no per-prime set-up.  Then each
     prime p up to min(sqrt(step * end + offset), SIEVE_BOUND - 1) takes its
     first index once, and divides it and every p-th index after it out of
-    blocks of 2, 4, ... up to _PROGRESSION_BLOCK indices; a p that divides step
-    divides every term or none.  What is left of a term is 1 or a prime
-    unless the primes were capped: a cofactor that may be composite goes
-    straight to the cofactor loop of _with_cofactor, with its budget.
+    blocks of _PROGRESSION_BLOCK indices; a p that divides step divides every
+    term or none.  What is left of a term is 1 or a prime unless the primes
+    were capped: a cofactor that may be composite goes straight to the
+    cofactor loop of _with_cofactor, with its budget.
     """
     if step < 1 or offset < 1 or start < 0 or end < start:
         raise ValueError("factor_progression expects step, offset >= 1 and 0 <= start <= end")
     yield factorize(step * start + offset)
     bound = min(math.isqrt(step * end + offset), SIEVE_BOUND - 1)
     count = bisect_right(_SMALL_PRIMES, bound)
-    lo, size, limit = start + 1, 2, (bound + 1) ** 2
+    lo, limit = start + 1, (bound + 1) ** 2
     sieve = []  # [p, stride, next index] of each prime that divides some term
     for p in _SMALL_PRIMES[:count]:
         if step % p:
@@ -417,7 +417,7 @@ def factor_progression(step: int, offset: int, start: int,
         elif offset % p == 0:
             sieve.append([p, 1, lo])
     while lo <= end:
-        size = min(size, end - lo + 1)
+        size = min(_PROGRESSION_BLOCK, end - lo + 1)
         rests = list(range(step * lo + offset, step * (lo + size) + offset, step))
         found: list[list[tuple[int, int]]] = [[] for _ in rests]
         for entry in sieve:
@@ -434,4 +434,3 @@ def factor_progression(step: int, offset: int, start: int,
         for i, rest in enumerate(rests):
             yield _with_cofactor(step * (lo + i) + offset, found[i], rest, limit)
         lo += size
-        size = min(2 * size, _PROGRESSION_BLOCK)

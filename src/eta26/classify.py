@@ -29,8 +29,9 @@ and is surfaced by scan(), never suppressed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import hecke
 from .arith import Factorization, factor_progression
@@ -194,27 +195,27 @@ class ScanSummary:
 
 
 class RangeStream:
-    """evaluate(n, fac) for n in [start, end], in index order, counted as it is read.
+    """apply_theorems(n), or check_family(family, n), for n in [start, end], counted as read.
 
-    fac factors step * n + offset, from one arith.factor_progression over
-    the range: 12n + 13 by default, for apply_theorems; step 12 * mult and
-    offset mult for check_family of mult.  Read it once; the counters then
-    summarize it with no second pass.  A zero is explained when its report
-    predicts zero.  The index lists hold each report's profile.n.  Callers
-    check the bounds.
+    Each report is handed its factorization from one arith.factor_progression
+    over the range: of 12n + 13, or of 12 * mult * n + mult for the family
+    mult, a key of FAMILIES.  Read it once; the counters then summarize it
+    with no second pass.  A zero is explained when its report predicts zero.
+    The index lists hold each report's profile.n.  Callers check the bounds.
     """
 
-    def __init__(self, evaluate: Callable[[int, Factorization], VanishingReport],
-                 start: int, end: int, step: int = 12, offset: int = 13) -> None:
-        self.evaluate, self.start, self.end = evaluate, start, end
-        self.step, self.offset = step, offset
+    def __init__(self, start: int, end: int, family: int | None = None) -> None:
+        self.start, self.end, self.family = start, end, family
         self.zero_count = self.explained = self.gated = 0
         self.unexplained: list[int] = []
         self.inconsistent: list[int] = []
 
     def __iter__(self) -> Iterator[VanishingReport]:
-        facs = factor_progression(self.step, self.offset, self.start, self.end)
-        for report in map(self.evaluate, range(self.start, self.end + 1), facs):
+        mult = self.family  # a family's m = 12(mult * n + (mult - 13) // 12) + 13
+        evaluate = apply_theorems if mult is None else functools.partial(check_family, mult)
+        step, offset = (12, 13) if mult is None else (12 * mult, mult)
+        facs = factor_progression(step, offset, self.start, self.end)
+        for report in map(evaluate, range(self.start, self.end + 1), facs):
             prof = report.profile
             self.gated += report.predicted != PREDICT_NONE
             if report.p26_value == 0:
@@ -241,5 +242,5 @@ def scan(start: int, end: int) -> tuple[list[VanishingReport], ScanSummary]:
     """
     if start < 0 or end < start:
         raise ValueError("scan expects 0 <= start <= end")
-    stream = RangeStream(apply_theorems, start, end)
+    stream = RangeStream(start, end)
     return list(stream), stream.summary()

@@ -201,7 +201,7 @@ def _scan_text(r: classify.VanishingReport) -> str:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.end < args.start:
         raise UsageError("scan expects start <= end")
-    stream = classify.RangeStream(classify.apply_theorems, args.start, args.end)
+    stream = classify.RangeStream(args.start, args.end)
     _emit_reports(args.output, stream, *_VANISHING, _scan_text, lambda: (
         dataclasses.asdict(stream.summary()),
         f"summary: {stream.zero_count} zeros, "
@@ -257,9 +257,7 @@ def _mt_check_text(r: classify.VanishingReport) -> str:
 def _cmd_mt_check(args: argparse.Namespace) -> int:
     if args.end < args.start:
         raise UsageError("mt-check expects start <= end")
-    mult = args.family  # its indices' m = 12 * mult * n + mult = mult * (12n + 1)
-    stream = classify.RangeStream(lambda n, fac: classify.check_family(mult, n, fac),
-                                  args.start, args.end, 12 * mult, mult)
+    stream = classify.RangeStream(args.start, args.end, args.family)
     checked = args.end - args.start + 1
     # a report outside the gate predicts nothing and is always consistent
     _emit_reports(args.output, stream, *_VANISHING, _mt_check_text, lambda: (

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import primes_below
+from .errors import BudgetError
 from .hecke import P26_DENOMINATOR, AlgInt3, _prime_values, t_prime_powers
 from .series import p26_oracle
 
@@ -39,6 +40,16 @@ DEFAULT_L_BOUND = 3
 MIN_PRIME_BOUND = 14  # 13 is the least prime = 1 (mod 12)
 
 _SPOT_CHECKS = 3  # primes per class compared against full precision
+
+# run_all's work, estimated before it starts as
+# max(prime_bound, 10000) * (1000 + exponent_bound**2 + 30 * l_bound): per
+# prime, a fixed cost, the exact t(p^a) of the difference claims and the
+# periodicity loops.  A unit is 2-3 ns on a 2-vCPU x86-64 VM under CPython 3.11:
+# (1e4, 400, 3) took 4.9 s, (1e4, 14, 1e4) 7.5 s and (1e7, 14, 3) 24.5 s.
+# Below a prime bound of 1e4, one prime's list of t(p^a), about 0.8 *
+# exponent_bound**2 * log2(p) bytes, costs more than the count of primes, so
+# the estimate counts at least 1e4.  The budget is about a minute.
+WORK_BUDGET = 20_000_000_000
 
 # Oracle identities at m = 12n + 13 = 5p and 7p (criteria 1 and 2 pin
 # t2(5) = 20592 and t1(7) = -102960 sqrt(-3)):
@@ -300,12 +311,17 @@ def run_all(
     hecke._prime_values, once per prime of classes 1, 5 and 7 (mod 12), and
     handed as t1(p), t2(p) to claims(p, spot, t1, t2, bound) of each verifier
     whose classes contain p mod 12; spot is set for that verifier's first
-    _SPOT_CHECKS primes.
+    _SPOT_CHECKS primes.  Bounds whose estimated work passes WORK_BUDGET
+    raise BudgetError before any prime is read.
     """
     if prime_bound < MIN_PRIME_BOUND:
         raise ValueError(f"prime_bound must be >= {MIN_PRIME_BOUND}, got {prime_bound}")
     if exponent_bound < 0 or l_bound < 0:
         raise ValueError(f"bounds must be >= 0, got {exponent_bound} and {l_bound}")
+    work = max(prime_bound, 10_000) * (1000 + exponent_bound**2 + 30 * l_bound)
+    if work > WORK_BUDGET:
+        raise BudgetError(f"run_all({prime_bound}, {exponent_bound}, {l_bound}) needs about "
+                          f"{work} work units, budget is {WORK_BUDGET}")
     bounds = [l_bound if claims is _periodicity else exponent_bound
               for claims, _, _ in _VERIFIERS]
     failures: list[list[Witness]] = [[] for _ in _VERIFIERS]

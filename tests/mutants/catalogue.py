@@ -125,6 +125,14 @@ CATALOGUE = (
            "if rest < limit:",
            "if True:",
            "tests/test_arith.py::test_factor_progression_equals_factorize"),
+    Mutant("classify-family-scan-offset", "src/eta26/classify.py",
+           "(12 * mult, mult)",
+           "(12 * mult, 13)",
+           "tests/test_cli.py::test_golden_output_bytes"),
+    Mutant("props-work-budget-unchecked", "src/eta26/props.py",
+           "if work > WORK_BUDGET:",
+           "if False:",
+           "tests/test_props.py::test_work_budget_is_checked_before_any_prime_is_read"),
 )
 
 

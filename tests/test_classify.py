@@ -395,6 +395,24 @@ def test_check_family_factors_once_per_index(monkeypatch):
         assert calls == [mult * (12 * n + 1) for n in range(20)], mult
 
 
+@pytest.mark.parametrize("family", [None, *FAMILIES])
+@pytest.mark.parametrize("start", [0, 10**9])
+def test_range_stream_equals_its_evaluator_per_index(family, start):
+    # the stream picks the progression and evaluator of its family itself;
+    # 601 indices span the first index and two sieve blocks
+    end = start + 600
+    evaluate = apply_theorems if family is None else partial(check_family, family)
+    stream = classify_mod.RangeStream(start, end, family)
+    reports = list(stream)
+    assert reports == [evaluate(n) for n in range(start, end + 1)]
+    zeros = [r for r in reports if r.p26_value == 0]
+    assert stream.zero_count == len(zeros)
+    assert stream.explained == sum(r.predicted == PREDICT_ZERO for r in zeros)
+    assert stream.unexplained == [r.profile.n for r in zeros if r.predicted != PREDICT_ZERO]
+    assert stream.gated == sum(r.predicted != PREDICT_NONE for r in reports)
+    assert stream.inconsistent == [r.profile.n for r in reports if not r.consistent]
+
+
 def test_uncovered_indices_have_odd_exponents_only_at_1_mod_12():
     # where no condition applies, every prime to an odd power is 1 (mod 12):
     # an odd count of odd-power primes in classes 5, 7, 11 would put one in

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eta26 import (
-    arith, hecke, p26_oracle, primes_below, props, quadrep, t1_prime, t2_prime,
-    t_prime_power,
+    BudgetError, arith, hecke, p26_oracle, primes_below, props, quadrep, t1_prime,
+    t2_prime, t_prime_power,
 )
 from eta26.cli import main
 from eta26.hecke import AlgInt3, t_prime_powers
@@ -384,3 +384,21 @@ def test_one_pass_certifies_no_prime(monkeypatch):
     run_all(3000, 6, 2)
     # the public guards, which still certify, are tested in test_hecke.py
     assert calls == []
+
+
+@pytest.mark.parametrize("bounds", [(10**12, 14, 3), (10_000, 10**6, 3), (10_000, 14, 10**6),
+                                    (14, 10**5, 0)])
+def test_work_budget_is_checked_before_any_prime_is_read(monkeypatch, bounds):
+    def unreachable(bound):
+        raise AssertionError("primes_below ran before the budget check")
+
+    monkeypatch.setattr(props, "primes_below", unreachable)
+    with pytest.raises(BudgetError, match="budget"):
+        run_all(*bounds)
+
+
+def test_work_budget_admits_the_default_benchmark_and_1e7_sweeps(monkeypatch):
+    monkeypatch.setattr(props, "primes_below", lambda bound: [])
+    for bounds in ((props.DEFAULT_PRIME_BOUND, props.DEFAULT_EXPONENT_BOUND,
+                    props.DEFAULT_L_BOUND), (100_000, 14, 3), (10**7, 14, 3), (3000, 30, 9)):
+        assert [r.checked for r in run_all(*bounds)] == [0] * 5
