@@ -16,13 +16,10 @@ exposes everything with machine-readable output.
 from .arith import Factorization, factor_progression, factorize, is_prime, primes_below
 from .classify import (
     ConditionProfile,
-    ScanSummary,
+    RangeStream,
     VanishingReport,
     apply_theorems,
-    check_25n_plus_1,
-    check_49n_plus_3,
     check_family,
-    scan,
 )
 from .errors import (
     BudgetError,
@@ -61,12 +58,10 @@ __all__ = [
     "P26_DENOMINATOR",
     "PowerSeries",
     "PropReport",
-    "ScanSummary",
+    "RangeStream",
     "SeriesBudgetError",
     "VanishingReport",
     "apply_theorems",
-    "check_25n_plus_1",
-    "check_49n_plus_3",
     "check_family",
     "coeff_bundle",
     "eta_power_series",
@@ -78,7 +73,6 @@ __all__ = [
     "p26_oracle",
     "primes_below",
     "run_all",
-    "scan",
     "t1_prime",
     "t2_prime",
     "t_prime_power",

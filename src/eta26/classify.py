@@ -24,7 +24,7 @@ Five further hypotheses force p26(n) != 0 (names used in reports):
 
 The classifier never predicts outside these hypotheses; a computed zero
 not covered by cond I / cond II would contradict the expected converse
-and is surfaced by scan(), never suppressed.
+and is counted by RangeStream, never suppressed.
 """
 
 from __future__ import annotations
@@ -175,42 +175,28 @@ def check_family(mult: int, n: int, fac: Factorization | None = None) -> Vanishi
     return VanishingReport(prof, value, predicted, (f"iff-{mult}n-plus-{offset}",))
 
 
-def check_25n_plus_1(n: int) -> VanishingReport:
-    """Vanishing biconditional for p26(25n + 1); see check_family."""
-    return check_family(25, n)
-
-
-def check_49n_plus_3(n: int) -> VanishingReport:
-    """Vanishing biconditional for p26(49n + 3); see check_family."""
-    return check_family(49, n)
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    start: int
-    end: int
-    zero_count: int
-    explained_zero_count: int
-    unexplained_zeros: tuple[int, ...]
-
-
 class RangeStream:
     """apply_theorems(n), or check_family(family, n), for n in [start, end], counted as read.
 
     Each report is handed its factorization from one arith.factor_progression
     over the range: of 12n + 13, or of 12 * mult * n + mult for the family
-    mult, a key of FAMILIES.  Read it once; the counters then summarize it
-    with no second pass.  A zero is explained when its report predicts zero.
-    The index lists hold each report's profile.n.  Callers check the bounds.
+    mult, a key of FAMILIES.  Each read starts the counters afresh, so after
+    a read they summarize it with no second pass.  A zero is explained when
+    its report predicts zero; an unexplained zero would be a counterexample
+    to the expected converse.  The index lists hold each report's profile.n.
     """
 
     def __init__(self, start: int, end: int, family: int | None = None) -> None:
+        if start < 0 or end < start:
+            raise ValueError(f"RangeStream expects 0 <= start <= end, got [{start}, {end}]")
         self.start, self.end, self.family = start, end, family
         self.zero_count = self.explained = self.gated = 0
         self.unexplained: list[int] = []
         self.inconsistent: list[int] = []
 
     def __iter__(self) -> Iterator[VanishingReport]:
+        self.zero_count = self.explained = self.gated = 0
+        self.unexplained, self.inconsistent = [], []
         mult = self.family  # a family's m = 12(mult * n + (mult - 13) // 12) + 13
         evaluate = apply_theorems if mult is None else functools.partial(check_family, mult)
         step, offset = (12, 13) if mult is None else (12 * mult, mult)
@@ -227,20 +213,3 @@ class RangeStream:
             if not report.consistent:
                 self.inconsistent.append(prof.n)
             yield report
-
-    def summary(self) -> ScanSummary:
-        return ScanSummary(self.start, self.end, self.zero_count, self.explained,
-                           tuple(self.unexplained))
-
-
-def scan(start: int, end: int) -> tuple[list[VanishingReport], ScanSummary]:
-    """Classify every n in [start, end] and summarize the zeros.
-
-    A zero is explained when cond I or cond II holds.  Unexplained zeros
-    would be counterexamples to the expected converse; they are listed
-    prominently in the summary and must never be dropped.
-    """
-    if start < 0 or end < start:
-        raise ValueError("scan expects 0 <= start <= end")
-    stream = RangeStream(start, end)
-    return list(stream), stream.summary()

@@ -133,6 +133,14 @@ CATALOGUE = (
            "if work > WORK_BUDGET:",
            "if False:",
            "tests/test_props.py::test_work_budget_is_checked_before_any_prime_is_read"),
+    Mutant("classify-range-start-unchecked", "src/eta26/classify.py",
+           "if start < 0 or end < start:",
+           "if end < start:",
+           "tests/test_classify.py::test_scan_validation"),
+    Mutant("cli-selftest-ignores-unexplained-zeros", "src/eta26/cli.py",
+           'check("no unexplained zeros", not stream.unexplained)',
+           'check("no unexplained zeros", True)',
+           "tests/test_cli.py::test_selftest_fails_on_an_unexplained_zero"),
 )
 
 

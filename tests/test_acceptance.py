@@ -12,13 +12,12 @@ import pytest
 from eta26 import (
     P26_DENOMINATOR,
     AlgInt3,
-    check_25n_plus_1,
-    check_49n_plus_3,
+    RangeStream,
+    check_family,
     coeff_bundle,
     eta_power_series,
     p26_cm,
     p26_oracle,
-    scan,
     t1_prime,
     t2_prime,
 )
@@ -44,7 +43,8 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def scan_result():
-    return scan(0, SCAN_LIMIT)
+    stream = RangeStream(0, SCAN_LIMIT)
+    return list(stream), stream
 
 
 def test_criterion_01_t2_vector():
@@ -100,13 +100,13 @@ def test_criterion_07_biconditionals():
     bad = []
     gated = 0
     for n in range((SCAN_LIMIT - 1) // 25 + 1):
-        rep = check_25n_plus_1(n)
+        rep = check_family(25, n)
         if rep.predicted != PREDICT_NONE:
             gated += 1
             if not rep.consistent:
                 bad.append(("25n+1", n))
     for n in range((SCAN_LIMIT - 3) // 49 + 1):
-        rep = check_49n_plus_3(n)
+        rep = check_family(49, n)
         if rep.predicted != PREDICT_NONE:
             gated += 1
             if not rep.consistent:
@@ -149,7 +149,7 @@ def test_criterion_09_combination_divisibility():
 
 
 def test_criterion_10_no_unexplained_zeros(scan_result):
-    _, summary = scan_result
+    _, stream = scan_result
     _report(10, f"every zero on [0, {SCAN_LIMIT}] is explained",
-            summary.unexplained_zeros == (),
-            f"unexplained: {list(summary.unexplained_zeros)[:10]}")
+            stream.unexplained == [],
+            f"unexplained: {stream.unexplained[:10]}")

@@ -11,13 +11,11 @@ import eta26.arith as arith_mod
 import eta26.classify as classify_mod
 import eta26.hecke as hecke_mod
 from eta26 import (
+    RangeStream,
     apply_theorems,
-    check_25n_plus_1,
-    check_49n_plus_3,
     check_family,
     eta_power_series,
     p26_cm,
-    scan,
 )
 from eta26.arith import Factorization, factorize
 from eta26.classify import (
@@ -134,8 +132,7 @@ def _reference_consistent(report):
 
 
 def test_consistent_matches_three_branch_rule_to_5000():
-    reports, _ = scan(0, 5000)
-    for rep in reports:
+    for rep in RangeStream(0, 5000):
         # the computed value, and a wrong one, which every prediction contradicts
         wrong = dataclasses.replace(rep, p26_value=int(rep.p26_value == 0))
         assert rep.consistent == _reference_consistent(rep), rep.profile.n
@@ -155,9 +152,9 @@ def test_no_prediction_outside_hypotheses():
         pytest.fail("expected at least one unpredicted index below 200")
 
 
-# each family check through check_family and through its delegate
-CHECKS_25 = (partial(check_family, 25), check_25n_plus_1)
-CHECKS_49 = (partial(check_family, 49), check_49n_plus_3)
+# each family check through check_family
+CHECKS_25 = (partial(check_family, 25),)
+CHECKS_49 = (partial(check_family, 49),)
 
 
 def test_check_25n_plus_1():
@@ -214,7 +211,7 @@ def test_check_family_rejects_unknown_family():
 def test_mt_gate_detection_uses_1_mod_12_primes_only():
     # 12n+1 = 11^4: exponent 4 on a prime not 1 mod 12 must not trip the gate
     n = (11**4 - 1) // 12
-    rep = check_25n_plus_1(n)
+    rep = check_family(25, n)
     assert rep.predicted != PREDICT_NONE
 
 
@@ -275,30 +272,30 @@ def test_check_family_matches_reference(mult, n):
 
 
 def test_scan_single_point():
-    reports, summary = scan(0, 0)
+    stream = RangeStream(0, 0)
+    reports = list(stream)
     assert len(reports) == 1
     assert reports[0].p26_value == 1
-    assert summary.zero_count == 0
-    assert summary.unexplained_zeros == ()
+    assert stream.zero_count == 0
+    assert stream.unexplained == []
 
 
 def test_scan_zeros_match_conditions_to_100():
     table = eta_power_series(26, 100)
-    reports, summary = scan(0, 100)
-    for rep in reports:
+    stream = RangeStream(0, 100)
+    for rep in stream:
         n = rep.profile.n
         assert rep.p26_value == table[n]
         covered = rep.profile.cond_i or rep.profile.cond_ii
         assert (rep.p26_value == 0) == covered, n
         assert rep.consistent
-    assert summary.unexplained_zeros == ()
-    assert summary.zero_count == summary.explained_zero_count
-    assert summary.zero_count == sum(1 for n in range(101) if table[n] == 0)
+    assert stream.unexplained == []
+    assert stream.zero_count == stream.explained
+    assert stream.zero_count == sum(1 for n in range(101) if table[n] == 0)
 
 
 def test_scan_soundness_and_exclusivity_to_300():
-    reports, _ = scan(0, 300)
-    for rep in reports:
+    for rep in RangeStream(0, 300):
         prof = rep.profile
         assert not (prof.cond_i and prof.n1)
         assert not (prof.cond_i and prof.n2)
@@ -310,10 +307,25 @@ def test_scan_soundness_and_exclusivity_to_300():
 
 
 def test_scan_validation():
+    # the bounds are checked when the stream is made, not on its first read
     with pytest.raises(ValueError):
-        scan(5, 3)
+        RangeStream(5, 3)
     with pytest.raises(ValueError):
-        scan(-1, 3)
+        RangeStream(-1, 3)
+
+
+def test_range_stream_counts_each_read_afresh():
+    # six zeros on [0, 60], all explained; a second read must not add to them
+    stream = RangeStream(0, 60)
+
+    def read():
+        reports = list(stream)
+        return reports, (stream.zero_count, stream.explained, stream.gated,
+                         stream.unexplained, stream.inconsistent)
+
+    first = read()
+    assert first[1] == (6, 6, 60, [], [])
+    assert read() == first
 
 
 def _cli_lines(capsys, argv):
@@ -378,7 +390,7 @@ def test_scan_factors_each_index_once(monkeypatch):
     tested, real_is_prime = [], arith_mod.is_prime
     for mod in (arith_mod, hecke_mod):
         monkeypatch.setattr(mod, "is_prime", lambda m: tested.append(m) or real_is_prime(m))
-    reports, _ = scan(0, 50)
+    reports = list(RangeStream(0, 50))
     assert len(reports) == 51
     assert [r.profile.factorization.value for r in reports] == [12 * n + 13 for n in range(51)]
     assert calls == [13]

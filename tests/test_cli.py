@@ -464,6 +464,17 @@ def test_scan_red_flag_stderr(monkeypatch, capsys, fmt, summary_err):
             "explained_zero_count": 1, "unexplained_zeros": [9]}
 
 
+def test_selftest_fails_on_an_unexplained_zero(monkeypatch, capsys):
+    # n = 9 (m = 121) is a cond-II zero: hide cond II and its zero prediction
+    _spoil(monkeypatch, "apply_theorems", 9, profile={"cond_ii": False},
+           predicted="no-prediction", explanation=())
+    code, out, _ = run(capsys, ["selftest", "--limit", "40", "--prime-bound", "300",
+                                "--exp-bound", "4", "--l-bound", "1"])
+    assert code == 2
+    assert "selftest no unexplained zeros: FAIL" in out.splitlines()
+    assert out.count("FAIL") == 1
+
+
 def test_mt_check_violation_stderr_and_summary(monkeypatch, capsys):
     _spoil(monkeypatch, "check_family", 3, predicted="zero")  # 12n + 1 = 37, nonzero
     code, out, err = run(capsys, ["mt-check", "25", "0", "10", "--output", "json"])

@@ -9,6 +9,7 @@ from eta26 import (
     P26_DENOMINATOR,
     AlgInt3,
     CoeffBundle,
+    RangeStream,
     coeff_bundle,
     eta_power_series,
     factorize,
@@ -16,7 +17,6 @@ from eta26 import (
     p26_cm,
     p26_oracle,
     primes_below,
-    scan,
     t1_prime,
     t2_prime,
     t_prime_power,
@@ -465,7 +465,7 @@ def test_minus_twists_equal_plus_at_odd_shapes(m):
 
 def test_prime_value_cache_holds_only_small_primes(monkeypatch):
     monkeypatch.setattr(hecke_mod, "_SMALL_VALUES", {})
-    reports, _ = scan(0, 30000)
+    reports = list(RangeStream(0, 30000))
     assert len(reports) == 30001
     cached = hecke_mod._SMALL_VALUES
     assert cached and max(cached) < SIEVE_BOUND
