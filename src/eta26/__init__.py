@@ -36,7 +36,7 @@ from .hecke import (
     p26_cm,
     t1_prime,
     t2_prime,
-    t_prime_power,
+    t_prime_powers,
 )
 from .props import PropReport, run_all
 from .quadrep import EisRep, GaussRep, one_three_squares, two_squares
@@ -75,6 +75,6 @@ __all__ = [
     "run_all",
     "t1_prime",
     "t2_prime",
-    "t_prime_power",
+    "t_prime_powers",
     "two_squares",
 ]

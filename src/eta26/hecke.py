@@ -21,13 +21,16 @@ x^2 + y^2 = p and z^2 + 3w^2 = p (_pow12):
         its representation's sign_plus bit.
 
 All functions are pure.  Prime values come from one core, _prime_values, on
-primes already certified; it caches only primes below SIEVE_BOUND.
+primes already certified; it caches only primes below SIEVE_BOUND.  Prime
+powers come from one generator, t_prime_powers, which runs the recursion
+on t1 and t2 together from that core's triple.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import TypeVar
+from itertools import islice
 
 from .arith import SIEVE_BOUND, Factorization, factorize, is_prime
 from .errors import ConsistencyError
@@ -116,41 +119,26 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"expected a prime not dividing 6, got {p}")
 
 
-T = TypeVar("T", int, AlgInt3)
+def t_prime_powers(p: int, a: int, b: int, c: int) -> Iterator[tuple[int, int, int]]:
+    """(a_r, b_r, c_r) for r = 0, 1, 2, ... with t1(p^r) = a_r + b_r*sqrt(-3) and t2(p^r) = c_r.
 
-
-def t_prime_powers(t_p: T, p: int, alpha_max: int) -> list[T]:
-    """[t(p^0), ..., t(p^alpha_max)] from t(p) by the two-term Hecke recursion.
-
-    With chi = +1 for p = 1 mod 4 and -1 for p = 3 mod 4:
+    t1(p) = a + b*sqrt(-3) and t2(p) = c, the triple _prime_values(p)
+    returns.  With chi = +1 for p = 1 mod 4 and -1 for p = 3 mod 4, both
+    follow the two-term Hecke recursion
 
         t(p^r) = t(p) * t(p^(r-1)) - chi * p^12 * t(p^(r-2)),
 
-    anchored at t(p^0) = 1, t(p^1) = t(p).  Works in Z or Z[sqrt(-3)]
-    according to the type of t_p; in Z[sqrt(-3)] the recursion runs on the
-    integer pairs (a, b) and one AlgInt3 is built per entry.
+    anchored at t(p^-1) = 0, t(p^0) = 1, and run together on integers in
+    one loop that holds only the last two entries.  The stream is endless;
+    callers take a bounded prefix with itertools.islice.
     """
-    if alpha_max < 0:
-        raise ValueError("alpha must be >= 0")
     step = p**12 if p % 4 == 1 else -p**12
-    if not isinstance(t_p, AlgInt3):
-        out = [1, t_p]
-        for _ in range(alpha_max - 1):
-            out.append(t_p * out[-1] - step * out[-2])
-        return out[: alpha_max + 1]
-    ta, tb = t_p.a, t_p.b
-    a2, b2, a1, b1 = 1, 0, ta, tb
-    alg = [AlgInt3(1, 0), t_p]
-    for _ in range(alpha_max - 1):
-        a1, b1, a2, b2 = (ta * a1 - 3 * tb * b1 - step * a2,
-                          ta * b1 + tb * a1 - step * b2, a1, b1)
-        alg.append(AlgInt3(a1, b1))
-    return alg[: alpha_max + 1]
-
-
-def t_prime_power(t_p: T, p: int, alpha: int) -> T:
-    """t(p^alpha), the last entry of t_prime_powers(t_p, p, alpha)."""
-    return t_prime_powers(t_p, p, alpha)[-1]
+    a1, b1, c1, a2, b2, c2 = 1, 0, 1, 0, 0, 0
+    while True:
+        yield a1, b1, c1
+        a1, b1, c1, a2, b2, c2 = (a * a1 - 3 * b * b1 - step * a2,
+                                  a * b1 + b * a1 - step * b2,
+                                  c * c1 - step * c2, a1, b1, c1)
 
 
 @dataclass(frozen=True)
@@ -205,8 +193,7 @@ def coeff_bundle(m: int, fac: Factorization | None = None) -> CoeffBundle:
     for p, alpha in fac:
         ta, tb, t2 = _prime_values(p)
         if alpha > 1:
-            t1 = t_prime_power(AlgInt3(ta, tb), p, alpha)
-            ta, tb, t2 = t1.a, t1.b, t_prime_power(t2, p, alpha)
+            ta, tb, t2 = next(islice(t_prime_powers(p, ta, tb, t2), alpha, None))
         a, b = a * ta - 3 * b * tb, a * tb + b * ta
         t2p *= t2
     return CoeffBundle(m, fac, AlgInt3(a, b), t2p)

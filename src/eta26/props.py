@@ -19,8 +19,8 @@ for the first primes of every class it is spot-checked against the exact
 hecke.t_prime_powers to keep the reduced path honest.  At p = 5 and p = 7
 (mod 12) those primes are also checked against the independent q-series
 oracle, which pins the sign conventions that the mod-5 / mod-7 claims
-cannot see.  The difference claims compare exact t_prime_powers values
-for every prime and exponent, with no reduction.
+cannot see.  The difference claims read one exact t_prime_powers stream
+of t1 and t2 per prime, two entries held at a time, with no reduction.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .arith import primes_below
 from .errors import BudgetError
@@ -46,8 +47,8 @@ _SPOT_CHECKS = 3  # primes per class compared against full precision
 # prime, a fixed cost, the exact t(p^a) of the difference claims and the
 # periodicity loops.  A unit is 2-3 ns on a 2-vCPU x86-64 VM under CPython 3.11:
 # (1e4, 400, 3) took 4.9 s, (1e4, 14, 1e4) 7.5 s and (1e7, 14, 3) 24.5 s.
-# Below a prime bound of 1e4, one prime's list of t(p^a), about 0.8 *
-# exponent_bound**2 * log2(p) bytes, costs more than the count of primes, so
+# Below a prime bound of 1e4, one prime's exact t(p^a), each up to about
+# 6 * exponent_bound * log2(p) bits, cost more than the count of primes, so
 # the estimate counts at least 1e4.  The budget is about a minute.
 WORK_BUDGET = 20_000_000_000
 
@@ -117,8 +118,9 @@ def _residues(t_p: int | AlgInt3, p: int, alpha_max: int, q: int
 
 def _spot_check(t_p: int | AlgInt3, p: int, alpha_max: int, q: int) -> bool:
     """The reduced recursion against the exact one, mod q."""
-    exact = t_prime_powers(t_p, p, alpha_max)
-    return _residues(t_p, p, alpha_max, q) == [_pair(v, q) for v in exact]
+    t = t_p if isinstance(t_p, AlgInt3) else AlgInt3(t_p, 0)
+    exact = islice(t_prime_powers(p, t.a, t.b, 0), alpha_max + 1)
+    return _residues(t, p, alpha_max, q) == [(a % q, b % q) for a, b, _ in exact]
 
 
 def _t2_at_5_mod_12(p: int, spot: bool, t1: AlgInt3, v: int,
@@ -256,36 +258,26 @@ def _difference_nonvanishing(p: int, spot: bool, t1: AlgInt3, t2: int,
     exponent_bound; additionally t1(p) = 2a0 and t2(p) = 2b0 with a0, b0
     odd, and t1(p^2) - t2(p^2) = 4(a0^2 - b0^2) exactly.  For p = 5 and
     p = 7 (mod 12) the difference is checked at even exponents, where
-    both values are rational integers.
+    both values must be rational integers.  One stream of exact values,
+    read from the t1(p) and t2(p) handed in, serves every class.
     """
-    if p % 12 == 1:
-        v1, v2 = t1.a, t2
-        if v1 % 2 != 0 or (v1 // 2) % 2 != 1:
+    split = p % 12 == 1
+    if split:
+        if t1.a % 2 != 0 or (t1.a // 2) % 2 != 1:
             yield (p, 1, "t1(p) is not twice an odd integer")
-        if v2 % 2 != 0 or (v2 // 2) % 2 != 1:
+        if t2 % 2 != 0 or (t2 // 2) % 2 != 1:
             yield (p, 1, "t2(p) is not twice an odd integer")
-        a0, b0 = v1 // 2, v2 // 2
-        t1s = t_prime_powers(v1, p, max(2, exponent_bound))
-        t2s = t_prime_powers(v2, p, max(2, exponent_bound))
-        if t1s[2] - t2s[2] != 4 * (a0 * a0 - b0 * b0):
+        a0, b0 = t1.a // 2, t2 // 2
+    powers = islice(t_prime_powers(p, t1.a, t1.b, t2), max(2, exponent_bound) + 1)
+    for a, (ta, tb, tc) in enumerate(powers):
+        if split and a == 2 and ta - tc != 4 * (a0 * a0 - b0 * b0):
             yield (p, 2, "t1(p^2) - t2(p^2) != 4(a0^2 - b0^2)")
-        for a in range(1, exponent_bound + 1):
-            if t1s[a] == t2s[a]:
-                yield (p, a, "t1(p^a) = t2(p^a)")
-    elif p % 12 == 5:
-        t1s = t_prime_powers(0, p, exponent_bound)
-        t2s = t_prime_powers(t2, p, exponent_bound)
-        for a in range(2, exponent_bound + 1, 2):
-            if t1s[a] == t2s[a]:
-                yield (p, a, "t1(p^a) = t2(p^a)")
-    else:  # p = 7 (mod 12)
-        t1s = t_prime_powers(t1, p, exponent_bound)
-        t2s = t_prime_powers(0, p, exponent_bound)
-        for a in range(2, exponent_bound + 1, 2):
-            if t1s[a].b != 0:
-                yield (p, a, "t1(p^a) not rational at even a")
-            if t1s[a].a == t2s[a]:
-                yield (p, a, "t1(p^a) = t2(p^a)")
+        if a == 0 or a > exponent_bound or (a % 2 and not split):
+            continue
+        if tb != 0 and a % 2 == 0:
+            yield (p, a, "t1(p^a) not rational at even a")
+        if ta == tc:
+            yield (p, a, "t1(p^a) = t2(p^a)")
 
 
 # (claims, prop_id, residue classes mod 12) of each verifier, in run_all's order

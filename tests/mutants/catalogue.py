@@ -141,6 +141,14 @@ CATALOGUE = (
            'check("no unexplained zeros", not stream.unexplained)',
            'check("no unexplained zeros", True)',
            "tests/test_cli.py::test_selftest_fails_on_an_unexplained_zero"),
+    Mutant("props-difference-last-exponent-dropped", "src/eta26/props.py",
+           "a > exponent_bound",
+           "a >= exponent_bound",
+           "tests/test_props.py::test_difference_verifier_reads_the_first_and_last_exponent"),
+    Mutant("hecke-t2-lane-anchor", "src/eta26/hecke.py",
+           "a1, b1, c1, a2, b2, c2 = 1, 0, 1, 0, 0, 0",
+           "a1, b1, c1, a2, b2, c2 = 1, 0, 1, 0, 0, 1",
+           "tests/test_hecke.py::test_recursion_matches_closed_form_split"),
 )
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,12 +20,11 @@ from eta26 import (
     primes_below,
     t1_prime,
     t2_prime,
-    t_prime_power,
+    t_prime_powers,
     two_squares,
 )
 from eta26.arith import SIEVE_BOUND
 from eta26.errors import ConsistencyError
-from eta26.hecke import t_prime_powers
 
 
 def _norm(z):
@@ -66,6 +66,15 @@ def _t1_direct(p):
     if p % 12 == 7:
         return AlgInt3(0, -2 * b)
     return AlgInt3(2 * a if rep.sign_plus else -2 * a, 0)
+
+
+def _powers(t_p, p, alpha_max):
+    """[t(p^0), ..., t(p^alpha_max)] from t(p) = t_p: an AlgInt3 through the
+    generator's t1 lane (t2(p) = 0), an int through its t2 lane (t1(p) = 0)."""
+    if isinstance(t_p, AlgInt3):
+        stream = t_prime_powers(p, t_p.a, t_p.b, 0)
+        return [AlgInt3(a, b) for a, b, _ in islice(stream, alpha_max + 1)]
+    return [c for _, _, c in islice(t_prime_powers(p, 0, 0, t_p), alpha_max + 1)]
 
 
 def _closed_form(t, p, alpha, chi):
@@ -118,10 +127,10 @@ def test_prime_rejects_bad_input():
 
 
 def test_prime_power_examples():
-    assert t_prime_power(0, 11, 2) == 11**12
-    assert t_prime_power(0, 5, 2) == -(5**12)
-    assert t_prime_power(0, 11, 0) == 1
-    assert t_prime_power(AlgInt3(0, 0), 7, 0) == AlgInt3(1, 0)
+    assert _powers(0, 11, 2)[-1] == 11**12
+    assert _powers(0, 5, 2)[-1] == -(5**12)
+    assert _powers(0, 11, 0)[-1] == 1
+    assert _powers(AlgInt3(0, 0), 7, 0)[-1] == AlgInt3(1, 0)
 
 
 @given(
@@ -131,9 +140,10 @@ def test_prime_power_examples():
 )
 def test_recursion_matches_closed_form_split(p, t, alpha):
     # p = 1 mod 4: the recursion derives chi = +1 from p itself
-    assert t_prime_power(t, p, alpha) == _closed_form(t, p, alpha, 1)
-    powers = t_prime_powers(t, p, alpha)
-    assert powers == [_closed_form(t, p, a, 1) for a in range(alpha + 1)]
+    # through both lanes: t as t1(p) = t + 0*sqrt(-3), and as t2(p)
+    expect = [_closed_form(t, p, a, 1) for a in range(alpha + 1)]
+    assert _powers(AlgInt3(t, 0), p, alpha) == [AlgInt3(v, 0) for v in expect]
+    assert _powers(t, p, alpha) == expect
 
 
 @given(
@@ -143,9 +153,10 @@ def test_recursion_matches_closed_form_split(p, t, alpha):
 )
 def test_recursion_matches_closed_form_inert(p, t, alpha):
     # p = 3 mod 4: the recursion derives chi = -1 from p itself
-    assert t_prime_power(t, p, alpha) == _closed_form(t, p, alpha, -1)
-    powers = t_prime_powers(t, p, alpha)
-    assert powers == [_closed_form(t, p, a, -1) for a in range(alpha + 1)]
+    # through both lanes: t as t1(p) = t + 0*sqrt(-3), and as t2(p)
+    expect = [_closed_form(t, p, a, -1) for a in range(alpha + 1)]
+    assert _powers(AlgInt3(t, 0), p, alpha) == [AlgInt3(v, 0) for v in expect]
+    assert _powers(t, p, alpha) == expect
 
 
 def test_parity_of_minus_branch():
@@ -153,17 +164,17 @@ def test_parity_of_minus_branch():
     for p in (7, 19, 31):
         plus = t1_prime(p)
         for alpha in range(7):
-            expect = t_prime_power(plus, p, alpha)
+            expect = _powers(plus, p, alpha)[-1]
             if alpha % 2 == 1:
                 expect = -expect
-            assert t_prime_power(-plus, p, alpha) == expect
+            assert _powers(-plus, p, alpha)[-1] == expect
     for p in (5, 17, 29):
         plus = t2_prime(p)
         for alpha in range(7):
-            expect = t_prime_power(plus, p, alpha)
+            expect = _powers(plus, p, alpha)[-1]
             if alpha % 2 == 1:
                 expect = -expect
-            assert t_prime_power(-plus, p, alpha) == expect
+            assert _powers(-plus, p, alpha)[-1] == expect
 
 
 def test_ramanujan_bound():
@@ -384,7 +395,7 @@ def test_skewed_bundle_raises_consistency_error(dt1b, dt2, message):
 
 
 def _product_bundle(m):
-    """coeff_bundle as an AlgInt3 product of t_prime_power over t1_prime / t2_prime.
+    """coeff_bundle as an AlgInt3 product of t(p^alpha) over t1_prime / t2_prime.
 
     The paper's four-term combination t1p + t1m - t2p - t2m is the reference:
     t1m (t2m) is t1p (t2p) negated when an odd number of primes = 7 (5)
@@ -393,8 +404,8 @@ def _product_bundle(m):
     fac = factorize(m)
     t1p, t2p, odd_7, odd_5 = AlgInt3(1, 0), 1, 0, 0
     for p, alpha in fac:
-        t1p = t1p * t_prime_power(t1_prime(p), p, alpha)
-        t2p = t2p * t_prime_power(t2_prime(p), p, alpha)
+        t1p = t1p * _powers(t1_prime(p), p, alpha)[-1]
+        t2p = t2p * _powers(t2_prime(p), p, alpha)[-1]
         if alpha % 2 == 1:
             odd_7 += p % 12 == 7
             odd_5 += p % 12 == 5

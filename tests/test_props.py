@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 from eta26 import (
     BudgetError, arith, hecke, p26_oracle, primes_below, props, quadrep, t1_prime,
-    t2_prime, t_prime_power,
+    t2_prime, t_prime_powers,
 )
 from eta26.cli import main
-from eta26.hecke import AlgInt3, t_prime_powers
+from eta26.hecke import AlgInt3
 from eta26.quadrep import EisRep, GaussRep
 from eta26.props import run_all
 
@@ -18,6 +20,15 @@ from eta26.props import run_all
 def _reports(prime_bound, exponent_bound, l_bound=1):
     """run_all's reports at these bounds, by prop id."""
     return {r.prop_id: r for r in run_all(prime_bound, exponent_bound, l_bound)}
+
+
+def _powers(t_p, p, alpha_max):
+    """[t(p^0), ..., t(p^alpha_max)] from t(p) = t_p: an AlgInt3 through the
+    generator's t1 lane (t2(p) = 0), an int through its t2 lane (t1(p) = 0)."""
+    if isinstance(t_p, AlgInt3):
+        stream = t_prime_powers(p, t_p.a, t_p.b, 0)
+        return [AlgInt3(a, b) for a, b, _ in islice(stream, alpha_max + 1)]
+    return [c for _, _, c in islice(t_prime_powers(p, 0, 0, t_p), alpha_max + 1)]
 
 
 def test_t2_reference_residues_mod_7():
@@ -46,11 +57,11 @@ def test_t1_divisibility_values():
 
 
 def test_split_divisibility_values():
-    assert t_prime_power(t2_prime(13), 13, 4) % 5 == 0
-    assert t_prime_power(t2_prime(13), 13, 3) % 5 != 0
-    assert t_prime_power(t1_prime(13).a, 13, 6) % 7 == 0
-    assert t_prime_power(t1_prime(13).a, 13, 5) % 7 != 0
-    assert t_prime_power(t2_prime(13), 13, 0) == 1
+    assert _powers(t2_prime(13), 13, 4)[-1] % 5 == 0
+    assert _powers(t2_prime(13), 13, 3)[-1] % 5 != 0
+    assert _powers(t1_prime(13), 13, 6)[-1].a % 7 == 0
+    assert _powers(t1_prime(13), 13, 5)[-1].a % 7 != 0
+    assert _powers(t2_prime(13), 13, 0)[-1] == 1
     report = _reports(800, 14)["divisibility-1mod12"]
     assert report.ok and report.checked > 0
 
@@ -59,14 +70,14 @@ def test_periodicity_direct_at_13():
     v = t2_prime(13)
     sign = 1 if v % 5 == 2 else -1
     for k in range(6):
-        lhs = t_prime_power(v, 13, 5 + k) % 5
-        rhs = (sign * t_prime_power(v, 13, k)) % 5
+        lhs = _powers(v, 13, 5 + k)[-1] % 5
+        rhs = (sign * _powers(v, 13, k)[-1]) % 5
         assert lhs == rhs
-    u = t1_prime(13).a
-    sign = 1 if u % 7 == 2 else -1
+    u = t1_prime(13)
+    sign = 1 if u.a % 7 == 2 else -1
     for k in range(8):
-        lhs = t_prime_power(u, 13, 7 + k) % 7
-        rhs = (sign * t_prime_power(u, 13, k)) % 7
+        lhs = _powers(u, 13, 7 + k)[-1].a % 7
+        rhs = (sign * _powers(u, 13, k)[-1].a) % 7
         assert lhs == rhs
 
 
@@ -79,13 +90,34 @@ def test_difference_nonvanishing_values():
     assert t1_prime(13).a - t2_prime(13) == 16308864
     a0 = t1_prime(13).a // 2
     b0 = t2_prime(13) // 2
-    d2 = t_prime_power(t1_prime(13).a, 13, 2) - t_prime_power(t2_prime(13), 13, 2)
+    d2 = _powers(t1_prime(13), 13, 2)[-1].a - _powers(t2_prime(13), 13, 2)[-1]
     assert d2 == 4 * (a0 * a0 - b0 * b0)
     # at p = 5: t1(25) = -5^12 and t2(25) = t2(5)^2 - 5^12
-    d = t_prime_power(0, 5, 2) - t_prime_power(t2_prime(5), 5, 2)
+    d = _powers(t1_prime(5), 5, 2)[-1].a - _powers(t2_prime(5), 5, 2)[-1]
     assert d == -(20592**2) == -424030464
     report = _reports(400, 8)["t1-t2-difference-nonvanishing"]
     assert report.ok and report.checked > 0
+
+
+@pytest.mark.parametrize("p, exponents", [(13, [1, 2, 3, 4, 5, 6]), (5, [2, 4, 6]), (7, [2, 4, 6])])
+def test_difference_verifier_reads_the_first_and_last_exponent(p, exponents):
+    # handed t1(p) = t2(p), the claim fails at every exponent it reads:
+    # 1..E at p = 1 (mod 12), the even ones up to E at p = 5 and 7
+    v = 6
+    witnesses = props._difference_nonvanishing(p, False, AlgInt3(v, 0), v, 6)
+    assert [a for _, a, detail in witnesses if detail == "t1(p^a) = t2(p^a)"] == exponents
+
+
+def test_difference_verifier_memory_does_not_grow_with_the_exponent():
+    # the exact t(p^a) stream holds two entries: a list of all 2000 would
+    # take about 11 MiB at p = 13
+    tracemalloc.start()
+    try:
+        assert list(props._difference_nonvanishing(13, False, t1_prime(13), t2_prime(13), 2000)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_halves_are_odd_at_1_mod_12():
@@ -239,7 +271,7 @@ def test_reduced_recursion_matches_exact_below_2000():
         if p % 12 not in (1, 5, 7):
             continue
         for t in (t1_prime(p), t2_prime(p)):
-            exact = t_prime_powers(t, p, 30)
+            exact = _powers(t, p, 30)
             for q in (5, 7):
                 assert props._residues(t, p, 30, q) == _pairs(exact, q), (p, t, q)
 
@@ -319,13 +351,16 @@ def _object_recursion(t_p, p, alpha_max, chi):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
+       st.integers(-10**40, 10**40),
        st.sampled_from([p for p in primes_below(5000) if p > 2]),
        st.integers(0, 30))
-def test_pair_recursion_matches_the_object_recursion(a, b, p, alpha):
+def test_pair_recursion_matches_the_object_recursion(a, b, c, p, alpha):
+    # the (a, b) lane is t1 in Z[sqrt(-3)], the c lane t2 in Z
     chi = 1 if p % 4 == 1 else -1
-    got = t_prime_powers(AlgInt3(a, b), p, alpha)
-    assert got == _object_recursion(AlgInt3(a, b), p, alpha, chi)
-    assert all(type(v) is AlgInt3 for v in got)
+    got = list(islice(t_prime_powers(p, a, b, c), alpha + 1))
+    assert [AlgInt3(x, y) for x, y, _ in got] == _object_recursion(AlgInt3(a, b), p, alpha, chi)
+    assert [AlgInt3(z, 0) for _, _, z in got] == _object_recursion(AlgInt3(c, 0), p, alpha, chi)
+    assert all(type(v) is int for entry in got for v in entry)
 
 
 # the verifiers whose claims each fault breaks, and the only ones that fail
