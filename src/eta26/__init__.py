@@ -39,7 +39,6 @@ from .hecke import (
     t_prime_powers,
 )
 from .props import PropReport, run_all
-from .quadrep import EisRep, GaussRep, one_three_squares, two_squares
 from .series import PowerSeries, eta_power_series, p26_oracle
 
 __version__ = "0.1.0"
@@ -50,11 +49,9 @@ __all__ = [
     "CoeffBundle",
     "ConditionProfile",
     "ConsistencyError",
-    "EisRep",
     "Eta26Error",
     "Factorization",
     "FactoringBudgetError",
-    "GaussRep",
     "P26_DENOMINATOR",
     "PowerSeries",
     "PropReport",
@@ -68,7 +65,6 @@ __all__ = [
     "factor_progression",
     "factorize",
     "is_prime",
-    "one_three_squares",
     "p26_cm",
     "p26_oracle",
     "primes_below",
@@ -76,5 +72,4 @@ __all__ = [
     "t1_prime",
     "t2_prime",
     "t_prime_powers",
-    "two_squares",
 ]

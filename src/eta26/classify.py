@@ -189,6 +189,8 @@ class RangeStream:
     def __init__(self, start: int, end: int, family: int | None = None) -> None:
         if start < 0 or end < start:
             raise ValueError(f"RangeStream expects 0 <= start <= end, got [{start}, {end}]")
+        if family is not None and family not in FAMILIES:
+            raise ValueError(f"unknown family {family}; expected one of {list(FAMILIES)}")
         self.start, self.end, self.family = start, end, family
         self.zero_count = self.explained = self.gated = 0
         self.unexplained: list[int] = []

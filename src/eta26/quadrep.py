@@ -23,9 +23,6 @@ p = z^2 + 3w^2  (exists iff p = 1 mod 3):
 For p = 1 mod 12 the two sign_plus bits always agree; hecke reads each
 representation's own bit, and the test suite sweeps the agreement.
 
-The guards two_squares / one_three_squares certify p, then call the trusted
-_gauss_rep / _eis_rep, which run no primality test.
-
 Algorithm: Cornacchia (1908; Cohen, A Course in Computational Algebraic
 Number Theory, Alg. 1.5.2).  r = sqrt(-d) mod p comes from a root of
 unity: r = z^((p-1)/4) for the first quadratic nonresidue z when d = 1,
@@ -48,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_prime
 from .errors import ConsistencyError
 
 
@@ -111,14 +107,8 @@ def _cornacchia(d: int, p: int) -> tuple[int, int]:
     return b, v
 
 
-def two_squares(p: int) -> GaussRep:
-    """Normalized representation p = x^2 + y^2 for a prime p = 1 mod 4."""
-    if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"two_squares expects a prime = 1 mod 4, got {p}")
-    return _gauss_rep(p)
-
-
 def _gauss_rep(p: int) -> GaussRep:
+    """Normalized p = x^2 + y^2 for a prime p = 1 mod 4; p is not certified here."""
     x, y = _cornacchia(1, p)
     if p % 12 == 5:
         if x % 3 != 1:
@@ -136,14 +126,8 @@ def _gauss_rep(p: int) -> GaussRep:
     return GaussRep(p, abs(x), y, False)
 
 
-def one_three_squares(p: int) -> EisRep:
-    """Normalized representation p = z^2 + 3w^2 for a prime p = 1 mod 3."""
-    if p % 3 != 1 or not is_prime(p):
-        raise ValueError(f"one_three_squares expects a prime = 1 mod 3, got {p}")
-    return _eis_rep(p)
-
-
 def _eis_rep(p: int) -> EisRep:
+    """Normalized p = z^2 + 3w^2 for a prime p = 1 mod 3; p is not certified here."""
     z, w = _cornacchia(3, p)
     if z % 3 != 1:
         z = -z

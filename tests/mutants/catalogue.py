@@ -149,6 +149,10 @@ CATALOGUE = (
            "a1, b1, c1, a2, b2, c2 = 1, 0, 1, 0, 0, 0",
            "a1, b1, c1, a2, b2, c2 = 1, 0, 1, 0, 0, 1",
            "tests/test_hecke.py::test_recursion_matches_closed_form_split"),
+    Mutant("classify-range-family-unchecked", "src/eta26/classify.py",
+           "if family is not None and family not in FAMILIES:",
+           "if False:",
+           "tests/test_classify.py::test_scan_validation"),
 )
 
 

@@ -307,11 +307,16 @@ def test_scan_soundness_and_exclusivity_to_300():
 
 
 def test_scan_validation():
-    # the bounds are checked when the stream is made, not on its first read
+    # the bounds and the family are checked when the stream is made, not on
+    # its first read
     with pytest.raises(ValueError):
         RangeStream(5, 3)
     with pytest.raises(ValueError):
         RangeStream(-1, 3)
+    for family in (99, 0):
+        with pytest.raises(ValueError, match=f"unknown family {family}"):
+            RangeStream(0, 10, family)
+    assert RangeStream(0, 10, 25).family == 25
 
 
 def test_range_stream_counts_each_read_afresh():

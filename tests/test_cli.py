@@ -12,7 +12,6 @@ import eta26.arith as arith
 import eta26.classify as classify
 import eta26.cli as cli
 import eta26.hecke as hecke
-import eta26.quadrep as quadrep
 from eta26.errors import ConsistencyError
 from eta26.props import PropReport
 
@@ -393,7 +392,7 @@ def test_scan_through_main_factors_each_index_once(monkeypatch, capsys):
 
     monkeypatch.setattr(arith.Factorization, "__post_init__", counted_init)
     factored = _count_calls(monkeypatch, "factorize", (arith, hecke))
-    tested = _count_calls(monkeypatch, "is_prime", (arith, hecke, quadrep))
+    tested = _count_calls(monkeypatch, "is_prime", (arith, hecke))
     code, out, _ = run(capsys, ["scan", "0", "50", "--output", "json"])
     assert code == 0
     assert len(out.splitlines()) == 52
@@ -406,7 +405,7 @@ def test_scan_through_main_certifies_each_index_at_most_once(monkeypatch, capsys
     # sqrt(12 * 1000000300 + 13) is past the sieve's prime bound, so a
     # cofactor past SIEVE_BOUND ** 2 is certified by factorize; the prime
     # values read the primes without testing primality again
-    calls = _count_calls(monkeypatch, "is_prime", (arith, hecke, quadrep))
+    calls = _count_calls(monkeypatch, "is_prime", (arith, hecke))
     monkeypatch.setattr(hecke, "_SMALL_VALUES", {})
     code, out, _ = run(capsys, ["scan", "1000000000", "1000000300", "--output", "json"])
     assert code == 0

@@ -14,17 +14,16 @@ from eta26 import (
     coeff_bundle,
     eta_power_series,
     factorize,
-    one_three_squares,
     p26_cm,
     p26_oracle,
     primes_below,
     t1_prime,
     t2_prime,
     t_prime_powers,
-    two_squares,
 )
 from eta26.arith import SIEVE_BOUND
 from eta26.errors import ConsistencyError
+from eta26.quadrep import _eis_rep, _gauss_rep
 
 
 def _norm(z):
@@ -51,7 +50,7 @@ def _eis_pow12(z, w):
 
 def _t2_direct(p):
     """t2(p) from the normalized representation by direct 12th powers."""
-    rep = two_squares(p)
+    rep = _gauss_rep(p)
     re, im = _gauss_pow12(rep.x, rep.y)
     if p % 12 == 5:
         # -i*pi^12 + i*conj(pi)^12 = 2 Im(pi^12)
@@ -61,7 +60,7 @@ def _t2_direct(p):
 
 def _t1_direct(p):
     """t1(p) from the normalized representation by direct 12th powers."""
-    rep = one_three_squares(p)
+    rep = _eis_rep(p)
     a, b = _eis_pow12(rep.z, rep.w)
     if p % 12 == 7:
         return AlgInt3(0, -2 * b)
@@ -491,6 +490,6 @@ def test_prime_value_cache_holds_only_small_primes(monkeypatch):
 
 
 def test_public_guards_reject_non_primes():
-    for call, arg in ((t1_prime, 15), (t2_prime, 12), (two_squares, 21), (one_three_squares, 9)):
+    for call, arg in ((t1_prime, 15), (t2_prime, 12)):
         with pytest.raises(ValueError):
             call(arg)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eta26 import (
-    BudgetError, arith, hecke, p26_oracle, primes_below, props, quadrep, t1_prime,
+    BudgetError, arith, hecke, p26_oracle, primes_below, props, t1_prime,
     t2_prime, t_prime_powers,
 )
 from eta26.cli import main
@@ -160,34 +160,29 @@ def test_run_all_order_and_cleanliness():
     assert all(r.ok for r in reports)
 
 
-def _flip_y_at_5_mod_12(two_squares):
+def _flip_y_at_5_mod_12(gauss_rep):
     def flipped(p):
-        rep = two_squares(p)
+        rep = gauss_rep(p)
         if p % 12 != 5:
             return rep
         return GaussRep(p, rep.x, -rep.y, rep.sign_plus)
     return flipped
 
 
-def _flip_w_at_7_mod_12(one_three_squares):
+def _flip_w_at_7_mod_12(eis_rep):
     def flipped(p):
-        rep = one_three_squares(p)
+        rep = eis_rep(p)
         if p % 12 != 7:
             return rep
         return EisRep(p, rep.z, -rep.w, rep.sign_plus)
     return flipped
 
 
-# The trusted normalizer behind each public representation function: the
-# binding that hecke's prime-value core reads.
-_TRUSTED = {"two_squares": "_gauss_rep", "one_three_squares": "_eis_rep"}
-
-
 @pytest.fixture
 def flip(monkeypatch):
-    """Wrap a representation function as hecke's value core sees it, with a cold cache."""
+    """Wrap _gauss_rep or _eis_rep as hecke's value core sees it, with a cold cache."""
     def install(name, wrap):
-        monkeypatch.setattr(hecke, _TRUSTED[name], wrap(getattr(hecke, _TRUSTED[name])))
+        monkeypatch.setattr(hecke, name, wrap(getattr(hecke, name)))
         hecke._SMALL_VALUES.clear()
     yield install
     monkeypatch.undo()
@@ -201,7 +196,7 @@ def _failing(reports):
 def test_flipped_y_convention_at_5_mod_12_is_reported(flip):
     # the mod-5 and mod-7 claims are symmetric under t2(p) -> -t2(p); only
     # the series oracle fixes the sign
-    flip("two_squares", _flip_y_at_5_mod_12)
+    flip("_gauss_rep", _flip_y_at_5_mod_12)
     assert t2_prime(257) % 7 == 5
     reports = _reports(400, 4, 2)
     assert _failing(reports.values()) == {"t2-divisibility-5mod12"}
@@ -209,7 +204,7 @@ def test_flipped_y_convention_at_5_mod_12_is_reported(flip):
 
 
 def test_flipped_w_orientation_at_7_mod_12_is_reported(flip):
-    flip("one_three_squares", _flip_w_at_7_mod_12)
+    flip("_eis_rep", _flip_w_at_7_mod_12)
     assert t1_prime(7).b == 102960
     reports = _reports(400, 4, 2)
     assert _failing(reports.values()) == {"t1-divisibility-7mod12"}
@@ -217,8 +212,8 @@ def test_flipped_w_orientation_at_7_mod_12_is_reported(flip):
 
 
 @pytest.mark.parametrize("name, wrap, witness", [
-    ("two_squares", _flip_y_at_5_mod_12, "t2(p) != -792"),
-    ("one_three_squares", _flip_w_at_7_mod_12, "617760 * t1(p)"),
+    ("_gauss_rep", _flip_y_at_5_mod_12, "t2(p) != -792"),
+    ("_eis_rep", _flip_w_at_7_mod_12, "617760 * t1(p)"),
 ])
 def test_verify_props_exits_2_on_flipped_sign(flip, capsys, name, wrap, witness):
     flip(name, wrap)
@@ -376,9 +371,9 @@ _FAILING = {
 @pytest.mark.parametrize("bounds", [(400, 4, 2), (3000, 30, 9), (10000, 14, 3)])
 def test_one_pass_equals_the_separate_verifiers(flip, monkeypatch, fault, bounds):
     if fault == "flip-y":
-        flip("two_squares", _flip_y_at_5_mod_12)
+        flip("_gauss_rep", _flip_y_at_5_mod_12)
     elif fault == "flip-w":
-        flip("one_three_squares", _flip_w_at_7_mod_12)
+        flip("_eis_rep", _flip_w_at_7_mod_12)
     elif fault == "skew-t2":
         _skew_t2_at_1_mod_12(monkeypatch)
     prime_bound, exponent_bound, l_bound = bounds
@@ -406,8 +401,9 @@ def test_one_pass_reads_each_prime_value_once(monkeypatch):
 
 def test_one_pass_certifies_no_prime(monkeypatch):
     # the sweep's primes come from the sieve; no binding of is_prime is called
+    # (quadrep has none: tests/test_series.py pins its imports)
     calls = []
-    for module in (arith, hecke, quadrep):
+    for module in (arith, hecke):
         real = module.is_prime
 
         def counted(n, _real=real):

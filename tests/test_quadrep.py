@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eta26 import (
-    ConsistencyError,
-    is_prime,
-    one_three_squares,
-    p26_cm,
-    primes_below,
-    quadrep,
-    two_squares,
-)
-from eta26.quadrep import EisRep, GaussRep
+from eta26 import ConsistencyError, is_prime, p26_cm, primes_below, quadrep
+from eta26.quadrep import EisRep, GaussRep, _eis_rep, _gauss_rep
 
 
 def _enumerate_two_squares(p):
@@ -42,12 +34,12 @@ def _enumerate(d, p):
 
 
 def _reps(p):
-    return (two_squares(p) if p % 4 == 1 else None,
-            one_three_squares(p) if p % 3 == 1 else None)
+    return (_gauss_rep(p) if p % 4 == 1 else None,
+            _eis_rep(p) if p % 3 == 1 else None)
 
 
 def _assert_reps_match_enumeration(primes):
-    """The public normalized reps equal those built on the enumeration."""
+    """The normalized reps equal those built on the enumeration."""
     fast = [_reps(p) for p in primes]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(quadrep, "_cornacchia", _enumerate)
@@ -72,30 +64,16 @@ def _eis_pow12(z, w):
 
 
 def test_two_squares_examples():
-    assert two_squares(5) == GaussRep(5, 1, 2, True)
-    assert two_squares(13) == GaussRep(13, 3, -2, False)
-    assert two_squares(29) == GaussRep(29, -5, 2, True)
-    assert two_squares(257) == GaussRep(257, 1, -16, True)
+    assert _gauss_rep(5) == GaussRep(5, 1, 2, True)
+    assert _gauss_rep(13) == GaussRep(13, 3, -2, False)
+    assert _gauss_rep(29) == GaussRep(29, -5, 2, True)
+    assert _gauss_rep(257) == GaussRep(257, 1, -16, True)
 
 
 def test_one_three_squares_examples():
-    assert one_three_squares(7) == EisRep(7, -2, -1, True)
-    assert one_three_squares(13) == EisRep(13, 1, 2, False)
-    assert one_three_squares(37) == EisRep(37, -5, 2, True)
-
-
-def test_two_squares_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        two_squares(7)  # 3 mod 4
-    with pytest.raises(ValueError):
-        two_squares(21)  # right residue, not prime
-
-
-def test_one_three_squares_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        one_three_squares(5)  # 2 mod 3
-    with pytest.raises(ValueError):
-        one_three_squares(25)
+    assert _eis_rep(7) == EisRep(7, -2, -1, True)
+    assert _eis_rep(13) == EisRep(13, 1, 2, False)
+    assert _eis_rep(37) == EisRep(37, -5, 2, True)
 
 
 def _all_gauss_solutions(p):
@@ -119,7 +97,7 @@ def test_gauss_normalization_unique():
     for p in primes_below(1500):
         if p % 4 != 1:
             continue
-        rep = two_squares(p)
+        rep = _gauss_rep(p)
         sols = _all_gauss_solutions(p)
         assert (rep.x, rep.y) in sols
         if p % 12 == 5:
@@ -143,7 +121,7 @@ def test_eis_invariants_sweep():
     for p in primes_below(1500):
         if p % 3 != 1 or p < 5:
             continue
-        rep = one_three_squares(p)
+        rep = _eis_rep(p)
         assert rep.z**2 + 3 * rep.w**2 == p
         assert rep.z % 3 == 1
         if p % 12 == 7:
@@ -158,15 +136,15 @@ def test_sign_correlation_at_1_mod_12():
     # the two sign branches always agree; hecke relies on this
     for p in primes_below(10_000):
         if p % 12 == 1:
-            assert two_squares(p).sign_plus == one_three_squares(p).sign_plus, p
+            assert _gauss_rep(p).sign_plus == _eis_rep(p).sign_plus, p
 
 
 def test_degree12_forms_ignore_joint_sign_flips():
     for p in (5, 13, 17, 29, 37, 41):
-        rep = two_squares(p)
+        rep = _gauss_rep(p)
         assert _gauss_pow12(rep.x, rep.y) == _gauss_pow12(-rep.x, -rep.y)
     for p in (7, 13, 19, 31, 37):
-        rep = one_three_squares(p)
+        rep = _eis_rep(p)
         assert _eis_pow12(rep.z, rep.w) == _eis_pow12(-rep.z, -rep.w)
 
 

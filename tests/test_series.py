@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eta26.cli as cli
+import eta26.quadrep as quadrep
 import eta26.series as series
 from eta26 import (
     ConsistencyError,
@@ -298,3 +299,11 @@ def test_series_imports_nothing_from_the_package_but_errors():
     assert set(_package_modules_imported(source)) == {"eta26.errors"}
     assert set(_package_modules_imported("from . import hecke\nimport eta26.arith")) == {
         "eta26.hecke", "eta26.arith"}
+
+
+def test_quadrep_imports_nothing_from_the_package_but_errors():
+    # quadrep is a leaf: it runs no primality test, so no binding of is_prime
+    # there can be called, and the is_prime counts in tests/test_cli.py and
+    # tests/test_props.py need not patch it
+    source = Path(quadrep.__file__).read_text()
+    assert set(_package_modules_imported(source)) == {"eta26.errors"}
