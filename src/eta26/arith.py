@@ -49,6 +49,8 @@ _ECM_D = 210
 
 # factor_progression sieves blocks of at most this many indices.
 _PROGRESSION_BLOCK = 512
+# _primes sieves past SIEVE_BOUND in segments of this many numbers.
+_PRIME_SEGMENT = 1 << 16
 
 
 def _sieve(bound: int) -> bytearray:
@@ -69,11 +71,31 @@ _SMALL_PRIMES = list(compress(range(SIEVE_BOUND), _SMALL_FLAGS))
 _TRIAL_PRIMES = _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, 1_000)]
 
 
+def _primes(bound: int) -> Iterator[int]:
+    """The primes p < bound, ascending, in memory that does not grow with bound.
+
+    Those below SIEVE_BOUND come from the import-time sieve; past it, each
+    segment of _PRIME_SEGMENT numbers is sieved by the primes to sqrt(bound),
+    which this generator makes itself, and read before the next is made.
+    """
+    yield from _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, bound)]
+    if bound <= SIEVE_BOUND:
+        return
+    base = list(_primes(math.isqrt(bound - 1) + 1))
+    for lo in range(SIEVE_BOUND, bound, _PRIME_SEGMENT):
+        hi = min(lo + _PRIME_SEGMENT, bound)
+        flags = bytearray([1]) * (hi - lo)
+        for p in base:
+            if p * p >= hi:
+                break
+            first = max(p * p, -(-lo // p) * p) - lo
+            flags[first::p] = bytes(len(range(first, hi - lo, p)))
+        yield from compress(range(lo, hi), flags)
+
+
 def primes_below(bound: int) -> list[int]:
     """All primes p < bound, ascending."""
-    if bound <= SIEVE_BOUND:
-        return _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, bound)]
-    return list(compress(range(bound), _sieve(bound)))
+    return list(_primes(bound))
 
 
 def _miller_rabin(n: int, base: int) -> bool:

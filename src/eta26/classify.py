@@ -25,16 +25,21 @@ Five further hypotheses force p26(n) != 0 (names used in reports):
 The classifier never predicts outside these hypotheses; a computed zero
 not covered by cond I / cond II would contradict the expected converse
 and is counted by RangeStream, never suppressed.
+
+An index is read off one factorization of 12n + 13: p26 by hecke.p26_cm,
+the flags from two bitmasks of classes mod 12, and the prediction from
+one cached entry per combination of the seven rule flags.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import hecke
-from .arith import Factorization, factor_progression
+from .arith import Factorization, factor_progression, factorize
 from .errors import ConsistencyError
 
 PREDICT_ZERO = "zero"
@@ -90,23 +95,32 @@ def _exponent_gate(fac: Factorization, q: int) -> bool:
     return all(e % q != q - 1 for p, e in fac if p % 12 == 1)
 
 
+# one bit per class mod 12 of a prime dividing m; m is prime to 6, so the
+# class fixes those mod 4 and mod 3
+_C5, _C7, _C11 = 1 << 5, 1 << 7, 1 << 11
+
+
 def _profile(n: int, fac: Factorization) -> ConditionProfile:
-    # classes mod 12, which fix those mod 4 and mod 3 as m is prime to 6
-    classes = {p % 12 for p, _ in fac}
-    odd = {p % 12 for p, e in fac if e % 2}
-    witness = bool(classes - {11})
-    even_shape = not odd & {5, 7, 11}
+    classes = odd = 0  # the classes of all primes of m, and of those to an odd power
+    for p, e in fac.factors:
+        bit = 1 << p % 12
+        classes |= bit
+        if e & 1:
+            odd |= bit
+    witness = classes & ~_C11 != 0
+    even_shape = not odd & (_C5 | _C7 | _C11)
+    no_3_mod_4, no_2_mod_3 = not odd & (_C7 | _C11), not odd & (_C5 | _C11)
     prof = ConditionProfile(
         n=n, m=fac.value, factorization=fac,
-        cond_i=bool(odd & {7, 11} and odd & {5, 11}),
-        cond_ii=not odd and classes == {11},
-        n1=witness and not odd & {7, 11},
-        n2=witness and not odd & {5, 11},
+        cond_i=not (no_3_mod_4 or no_2_mod_3),
+        cond_ii=not odd and classes == _C11,
+        n1=witness and no_3_mod_4,
+        n2=witness and no_2_mod_3,
         prime_power=len(fac.factors) == 1 and witness,
-        odd_exp_5=5 in odd and not odd & {7, 11},
+        odd_exp_5=odd & _C5 != 0 and no_3_mod_4,
         div_25=even_shape and fac.value % 25 == 0 and _exponent_gate(fac, 5),
         div_49=even_shape and fac.value % 49 == 0 and _exponent_gate(fac, 7),
-        odd_exp_7=7 in odd and not odd & {5, 11},
+        odd_exp_7=odd & _C7 != 0 and no_2_mod_3,
     )
     # logically impossible combinations; a violation means the flag
     # computation itself is broken
@@ -119,8 +133,9 @@ def _evaluate(n: int, fac: Factorization | None) -> tuple[ConditionProfile, int]
     """Profile and p26(n), both from one factorization of 12n + 13 (fac, if given)."""
     if n < 0:
         raise ValueError(f"expected n >= 0, got {n}")
-    bundle = hecke.coeff_bundle(12 * n + 13, fac)
-    return _profile(n, bundle.factorization), bundle.p26
+    if fac is None:
+        fac = factorize(12 * n + 13)
+    return _profile(n, fac), hecke.p26_cm(n, fac)
 
 
 _ZERO_RULES = (("cond-I", "cond_i"), ("cond-II", "cond_ii"))
@@ -131,6 +146,23 @@ _NONZERO_RULES = (
     ("49-with-even-shape", "div_49"),
     ("odd-exp-7-mod-12", "odd_exp_7"),
 )
+_rule_flags = operator.attrgetter(*(attr for _, attr in _ZERO_RULES + _NONZERO_RULES))
+
+
+@functools.cache
+def _verdict(flags: tuple[bool, ...]) -> tuple[str, tuple[str, ...]]:
+    """(predicted, explanation) for the flags of _ZERO_RULES + _NONZERO_RULES, in order.
+
+    ConsistencyError when a zero rule and a nonzero rule both hold.
+    """
+    zero_hits = tuple(name for (name, _), flag in zip(_ZERO_RULES, flags) if flag)
+    nonzero_hits = tuple(name for (name, _), flag
+                         in zip(_NONZERO_RULES, flags[len(_ZERO_RULES):]) if flag)
+    if zero_hits and nonzero_hits:
+        raise ConsistencyError(f"contradictory predictions: {zero_hits} vs {nonzero_hits}")
+    predicted = (PREDICT_ZERO if zero_hits
+                 else PREDICT_NONZERO if nonzero_hits else PREDICT_NONE)
+    return predicted, zero_hits + nonzero_hits
 
 
 def apply_theorems(n: int, fac: Factorization | None = None) -> VanishingReport:
@@ -139,15 +171,11 @@ def apply_theorems(n: int, fac: Factorization | None = None) -> VanishingReport:
     fac, if given, is the factorization of 12n + 13.
     """
     prof, value = _evaluate(n, fac)
-    zero_hits = tuple(name for name, attr in _ZERO_RULES if getattr(prof, attr))
-    nonzero_hits = tuple(name for name, attr in _NONZERO_RULES if getattr(prof, attr))
-    if zero_hits and nonzero_hits:
-        raise ConsistencyError(
-            f"contradictory predictions at n={n}: {zero_hits} vs {nonzero_hits}"
-        )
-    predicted = (PREDICT_ZERO if zero_hits
-                 else PREDICT_NONZERO if nonzero_hits else PREDICT_NONE)
-    return VanishingReport(prof, value, predicted, zero_hits + nonzero_hits)
+    try:
+        predicted, explanation = _verdict(_rule_flags(prof))
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{exc} at n={n}") from None
+    return VanishingReport(prof, value, predicted, explanation)
 
 
 def check_family(mult: int, n: int, fac: Factorization | None = None) -> VanishingReport:

@@ -23,7 +23,10 @@ x^2 + y^2 = p and z^2 + 3w^2 = p (_pow12):
 All functions are pure.  Prime values come from one core, _prime_values, on
 primes already certified; it caches only primes below SIEVE_BOUND.  Prime
 powers come from one generator, t_prime_powers, which runs the recursion
-on t1 and t2 together from that core's triple.
+on t1 and t2 together from that core's triple.  p26 comes from one
+product loop over a factorization of m, _products, and one checked
+division, _p26: coeff_bundle keeps their inputs in a CoeffBundle, and
+p26_cm, which classify calls at every index of a range, builds no bundle.
 """
 
 from __future__ import annotations
@@ -141,13 +144,26 @@ def t_prime_powers(p: int, a: int, b: int, c: int) -> Iterator[tuple[int, int, i
                                   c * c1 - step * c2, a1, b1, c1)
 
 
+def _p26(m: int, a: int, b: int, t2p: int) -> int:
+    """p26 at m from t1p = a + b*sqrt(-3) and t2p: 2 * (t1p - t2p) / P26_DENOMINATOR.
+
+    ConsistencyError unless t1p is rational and the division is exact.
+    """
+    if b != 0:
+        raise ConsistencyError(f"t1p not rational at m={m}: {AlgInt3(a, b)}")
+    p26, rem = divmod(2 * (a - t2p), P26_DENOMINATOR)
+    if rem != 0:
+        raise ConsistencyError(
+            f"combination {2 * (a - t2p)} at m={m} not divisible by {P26_DENOMINATOR}")
+    return p26
+
+
 @dataclass(frozen=True)
 class CoeffBundle:
     """t1p and t2p at one m = 1 mod 12.
 
-    Construction checks that combination() is rational and exactly
-    divisible by P26_DENOMINATOR (ConsistencyError otherwise) and stores
-    the quotient as p26.  The factorization of m is kept for reuse.
+    Construction stores p26 from _p26, which checks the combination as
+    p26_cm does.  The factorization of m is kept for reuse.
     """
 
     m: int
@@ -157,18 +173,31 @@ class CoeffBundle:
     p26: int = field(init=False)
 
     def __post_init__(self) -> None:
-        check = self.combination()
-        if check.b != 0:
-            raise ConsistencyError(f"t1p not rational at m={self.m}: {self.t1p}")
-        p26, rem = divmod(check.a, P26_DENOMINATOR)
-        if rem != 0:
-            raise ConsistencyError(
-                f"combination {check.a} at m={self.m} not divisible by {P26_DENOMINATOR}")
-        object.__setattr__(self, "p26", p26)
+        object.__setattr__(self, "p26", _p26(self.m, self.t1p.a, self.t1p.b, self.t2p))
 
     def combination(self) -> AlgInt3:
         """2 * (t1p - t2p), the multiple of P26_DENOMINATOR p26 is read from, built on integers."""
         return AlgInt3(2 * (self.t1p.a - self.t2p), 2 * self.t1p.b)
+
+
+def _products(m: int, fac: Factorization | None) -> tuple[Factorization, int, int, int]:
+    """(fac, a, b, t2p) with t1p(m) = a + b*sqrt(-3), multiplied over m's prime powers.
+
+    fac is m's factorization (ValueError if its value is not m), or None
+    to have factorize make the one returned.
+    """
+    if fac is None:
+        fac = factorize(m)
+    elif fac.value != m:
+        raise ValueError(f"got the factorization of {fac.value}, not of m={m}")
+    a, b, t2p = 1, 0, 1
+    for p, alpha in fac.factors:
+        ta, tb, t2 = _prime_values(p)
+        if alpha > 1:
+            ta, tb, t2 = next(islice(t_prime_powers(p, ta, tb, t2), alpha, None))
+        a, b = a * ta - 3 * b * tb, a * tb + b * ta
+        t2p *= t2
+    return fac, a, b, t2p
 
 
 def coeff_bundle(m: int, fac: Factorization | None = None) -> CoeffBundle:
@@ -185,22 +214,18 @@ def coeff_bundle(m: int, fac: Factorization | None = None) -> CoeffBundle:
     """
     if m % 12 != 1 or m < 13:
         raise ValueError(f"coeff_bundle expects m = 1 mod 12, m >= 13, got {m}")
-    if fac is None:
-        fac = factorize(m)
-    elif fac.value != m:
-        raise ValueError(f"coeff_bundle got the factorization of {fac.value}, not of m={m}")
-    a, b, t2p = 1, 0, 1
-    for p, alpha in fac:
-        ta, tb, t2 = _prime_values(p)
-        if alpha > 1:
-            ta, tb, t2 = next(islice(t_prime_powers(p, ta, tb, t2), alpha, None))
-        a, b = a * ta - 3 * b * tb, a * tb + b * ta
-        t2p *= t2
+    fac, a, b, t2p = _products(m, fac)
     return CoeffBundle(m, fac, AlgInt3(a, b), t2p)
 
 
-def p26_cm(n: int) -> int:
-    """p26(n) via the exact coefficient combination at 12n + 13."""
+def p26_cm(n: int, fac: Factorization | None = None) -> int:
+    """p26(n) via the exact coefficient combination at m = 12n + 13.
+
+    fac is m's factorization (ValueError if its value is not m), or None
+    to have factorize make it.  The value is coeff_bundle(m).p26, with no
+    bundle built.
+    """
     if n < 0:
         raise ValueError("p26_cm expects n >= 0")
-    return coeff_bundle(12 * n + 13).p26
+    m = 12 * n + 13
+    return _p26(m, *_products(m, fac)[1:])

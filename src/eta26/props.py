@@ -6,7 +6,8 @@ its prop id and residue classes mod 12, and run_all checks the primes of
 those classes below a configurable bound.  The result is a PropReport whose
 failure list must be empty on a correct build.  Any entry is a red-flag
 output carrying the full witness.  run_all makes one pass over the
-sieve's primes: t1(p) and t2(p) are read once per prime from the trusted
+primes of arith._primes, a segmented sieve whose memory does not grow
+with the bound: t1(p) and t2(p) are read once per prime from the trusted
 core hecke._prime_values, with no second primality test, and handed to
 every verifier whose classes contain p; each report keeps its own count,
 spot checks and failures in prime order.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .arith import primes_below
+from .arith import _primes
 from .errors import BudgetError
 from .hecke import P26_DENOMINATOR, AlgInt3, _prime_values, t_prime_powers
 from .series import p26_oracle
@@ -318,7 +319,7 @@ def run_all(
               for claims, _, _ in _VERIFIERS]
     failures: list[list[Witness]] = [[] for _ in _VERIFIERS]
     checked = [0] * len(_VERIFIERS)
-    for p in primes_below(prime_bound):
+    for p in _primes(prime_bound):
         r = p % 12
         if r not in (1, 5, 7):
             continue

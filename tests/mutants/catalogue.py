@@ -153,6 +153,18 @@ CATALOGUE = (
            "if family is not None and family not in FAMILIES:",
            "if False:",
            "tests/test_classify.py::test_scan_validation"),
+    Mutant("hecke-p26-rationality-unchecked", "src/eta26/hecke.py",
+           "if b != 0:",
+           "if False:",
+           "tests/test_hecke.py::test_corrupted_t1_prime_value_raises_consistency_error"),
+    Mutant("classify-class-bits-5-7-swapped", "src/eta26/classify.py",
+           "_C5, _C7, _C11 = 1 << 5, 1 << 7, 1 << 11",
+           "_C5, _C7, _C11 = 1 << 7, 1 << 5, 1 << 11",
+           "tests/test_classify.py::test_profile_matches_reference_to_30000"),
+    Mutant("classify-verdict-contradiction-unchecked", "src/eta26/classify.py",
+           "    if zero_hits and nonzero_hits:\n",
+           "    if False:\n",
+           "tests/test_classify.py::test_verdict_over_every_combination_of_rule_flags"),
 )
 
 

@@ -1,5 +1,8 @@
 import math
 import random
+import tracemalloc
+from bisect import bisect_left
+from itertools import compress
 
 import pytest
 import sympy
@@ -353,6 +356,25 @@ def test_primes_below_boundaries_and_fresh_list():
     assert len(full) == sympy.primepi(99_999)
     full.clear()
     assert primes_below(100_000)[:3] == [2, 3, 5]
+
+
+def test_primes_past_the_sieve_bound_come_one_segment_at_a_time():
+    # bounds at and next to the segment edges give one whole sieve's primes,
+    # and a sweep to 3e5 holds one segment (64 KiB), where a list of its
+    # primes would take about 0.9 MiB
+    segment = arith._PRIME_SEGMENT
+    top = SIEVE_BOUND + 3 * segment + 2
+    whole = list(compress(range(top), arith._sieve(top)))
+    for bound in (SIEVE_BOUND + 1, SIEVE_BOUND + segment, SIEVE_BOUND + segment + 1, top):
+        assert primes_below(bound) == whole[: bisect_left(whole, bound)], bound
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in arith._primes(300_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == sympy.primepi(299_999)
+    assert peak < 2**18
 
 
 def test_is_prime_rejects_negative():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from functools import partial
 from math import prod
@@ -27,6 +28,7 @@ from eta26.classify import (
     VanishingReport,
 )
 from eta26.cli import main
+from eta26.errors import ConsistencyError
 
 
 def _profile_of(n):
@@ -129,6 +131,30 @@ def _reference_consistent(report):
     if prof.prime_power or prof.odd_exp_5 or prof.div_25 or prof.div_49 or prof.odd_exp_7:
         return report.p26_value != 0
     return True
+
+
+_RULE_NAMES = ("cond-I", "cond-II", "prime-power", "odd-exp-5-mod-12", "25-with-even-shape",
+               "49-with-even-shape", "odd-exp-7-mod-12")
+_RULE_FIELDS = ("cond_i", "cond_ii", "prime_power", "odd_exp_5", "div_25", "div_49",
+                "odd_exp_7")
+
+
+def test_verdict_over_every_combination_of_rule_flags(monkeypatch):
+    # two zero rules, then five nonzero rules; a zero and a nonzero hit
+    # together contradict each other, in the table and at the index
+    real = classify_mod._profile
+    monkeypatch.setattr(classify_mod, "_profile", lambda n, fac: dataclasses.replace(
+        real(n, fac), **dict(zip(_RULE_FIELDS, flags))))
+    for flags in itertools.product((False, True), repeat=7):
+        names = tuple(name for name, flag in zip(_RULE_NAMES, flags) if flag)
+        if any(flags[:2]) and any(flags[2:]):
+            with pytest.raises(ConsistencyError, match="contradictory predictions.* at n=9"):
+                apply_theorems(9)
+        else:
+            report = apply_theorems(9)
+            assert report.explanation == names
+            assert report.predicted == (PREDICT_ZERO if any(flags[:2]) else
+                                        PREDICT_NONZERO if names else PREDICT_NONE)
 
 
 def test_consistent_matches_three_branch_rule_to_5000():
@@ -375,7 +401,7 @@ def test_value_agrees_with_direct_cm():
 
 
 def _count_factorize(monkeypatch) -> list[int]:
-    """Count factorize calls through hecke and arith, the modules that make them."""
+    """Count factorize calls through classify, hecke and arith, the modules that make them."""
     calls = []
     real = arith_mod.factorize
 
@@ -383,7 +409,7 @@ def _count_factorize(monkeypatch) -> list[int]:
         calls.append(m)
         return real(m)
 
-    for mod in (arith_mod, hecke_mod):
+    for mod in (arith_mod, classify_mod, hecke_mod):
         monkeypatch.setattr(mod, "factorize", counted)
     return calls
 
@@ -410,6 +436,23 @@ def test_check_family_factors_once_per_index(monkeypatch):
         for n in range(20):
             check_family(mult, n)
         assert calls == [mult * (12 * n + 1) for n in range(20)], mult
+
+
+def test_range_streams_build_no_coeff_bundle(monkeypatch):
+    # a range reads p26 from the product of prime values with no CoeffBundle
+    built = []
+    real = hecke_mod.CoeffBundle.__post_init__
+
+    def counted(bundle):
+        built.append(bundle.m)
+        real(bundle)
+
+    monkeypatch.setattr(hecke_mod.CoeffBundle, "__post_init__", counted)
+    for family in (None, *FAMILIES):
+        assert len(list(RangeStream(0, 3000, family))) == 3001
+    assert built == []
+    hecke_mod.coeff_bundle(13)
+    assert built == [13]
 
 
 @pytest.mark.parametrize("family", [None, *FAMILIES])

@@ -13,6 +13,7 @@ from eta26 import (
     RangeStream,
     coeff_bundle,
     eta_power_series,
+    factor_progression,
     factorize,
     p26_cm,
     p26_oracle,
@@ -246,6 +247,32 @@ def test_p26_rejects_negative():
         p26_cm(-1)
 
 
+def test_p26_takes_the_factorization_of_12n_plus_13_only():
+    assert p26_cm(20, factorize(253)) == p26_cm(20) == 0
+    with pytest.raises(ValueError, match="factorization of 265"):
+        p26_cm(20, factorize(265))
+    with pytest.raises(ValueError, match="factorization of 253"):
+        p26_cm(21, factorize(253))
+
+
+# (step, offset, shift) of the scan progression 12n + 13 and of each mt-check
+# family's 12(mult*n + shift) + 13 = 12*mult*n + mult, with shift 1 and 3
+_PROGRESSIONS = {None: (12, 13, 0), 25: (300, 25, 1), 49: (588, 49, 3)}
+
+
+@pytest.mark.parametrize("family", list(_PROGRESSIONS))
+@pytest.mark.parametrize("start", [0, 10**9, 10**12])
+def test_p26_from_a_range_factorization_equals_the_bundle(family, start):
+    # p26_cm reads the range sieve's factorization of each term; the bundle
+    # factors the term afresh
+    step, offset, shift = _PROGRESSIONS[family]
+    end = start + 150
+    for n, fac in zip(range(start, end + 1), factor_progression(step, offset, start, end)):
+        k = n if family is None else family * n + shift
+        assert fac.value == 12 * k + 13
+        assert p26_cm(k, fac) == coeff_bundle(fac.value).p26, (family, n)
+
+
 def test_oracle_equivalence_small_range():
     table = eta_power_series(26, 300)
     for n in range(301):
@@ -337,12 +364,19 @@ def _skew_prime_values(monkeypatch, da, db, dt2):
     monkeypatch.setattr(hecke_mod, "_prime_values", skewed)
 
 
+# each path that evaluates p26(0) from the prime values: a bundle at m = 13,
+# p26_cm, and a range read, which builds no bundle
+_EVALUATIONS = (lambda: hecke_mod.coeff_bundle(13), lambda: hecke_mod.p26_cm(0),
+                lambda: list(RangeStream(0, 10)))
+
+
 def test_corrupted_prime_value_raises_consistency_error(monkeypatch):
     # a wrong prime value must be caught by the divisibility check, not
     # silently rounded away
     _skew_prime_values(monkeypatch, 0, 0, 1)
-    with pytest.raises(ConsistencyError):
-        hecke_mod.coeff_bundle(13)
+    for evaluate in _EVALUATIONS:
+        with pytest.raises(ConsistencyError):
+            evaluate()
 
 
 @pytest.mark.parametrize("da, db, message", [(1, 0, "not divisible"), (0, 1, "not rational")])
@@ -350,8 +384,9 @@ def test_corrupted_t1_prime_value_raises_consistency_error(monkeypatch, da, db, 
     # the t1 twin of the test above: a rational skew breaks divisibility,
     # an irrational one breaks the rationality of t1p
     _skew_prime_values(monkeypatch, da, db, 0)
-    with pytest.raises(ConsistencyError, match=message):
-        hecke_mod.coeff_bundle(13)
+    for evaluate in _EVALUATIONS:
+        with pytest.raises(ConsistencyError, match=message):
+            evaluate()
 
 
 # The degree-12 binomial forms of (u + v*sqrt(-d))^12, written out term by term.

@@ -421,15 +421,15 @@ def test_one_pass_certifies_no_prime(monkeypatch):
                                     (14, 10**5, 0)])
 def test_work_budget_is_checked_before_any_prime_is_read(monkeypatch, bounds):
     def unreachable(bound):
-        raise AssertionError("primes_below ran before the budget check")
+        raise AssertionError("the prime source ran before the budget check")
 
-    monkeypatch.setattr(props, "primes_below", unreachable)
+    monkeypatch.setattr(props, "_primes", unreachable)
     with pytest.raises(BudgetError, match="budget"):
         run_all(*bounds)
 
 
 def test_work_budget_admits_the_default_benchmark_and_1e7_sweeps(monkeypatch):
-    monkeypatch.setattr(props, "primes_below", lambda bound: [])
+    monkeypatch.setattr(props, "_primes", lambda bound: iter(()))
     for bounds in ((props.DEFAULT_PRIME_BOUND, props.DEFAULT_EXPONENT_BOUND,
                     props.DEFAULT_L_BOUND), (100_000, 14, 3), (10**7, 14, 3), (3000, 30, 9)):
         assert [r.checked for r in run_all(*bounds)] == [0] * 5
