@@ -142,8 +142,8 @@ CATALOGUE = (
            'check("no unexplained zeros", True)',
            "tests/test_cli.py::test_selftest_fails_on_an_unexplained_zero"),
     Mutant("props-difference-last-exponent-dropped", "src/eta26/props.py",
-           "a > exponent_bound",
-           "a >= exponent_bound",
+           "r > exponent_bound",
+           "r >= exponent_bound",
            "tests/test_props.py::test_difference_verifier_reads_the_first_and_last_exponent"),
     Mutant("hecke-t2-lane-anchor", "src/eta26/hecke.py",
            "a1, b1, c1, a2, b2, c2 = 1, 0, 1, 0, 0, 0",
@@ -165,6 +165,14 @@ CATALOGUE = (
            "    if zero_hits and nonzero_hits:\n",
            "    if False:\n",
            "tests/test_classify.py::test_verdict_over_every_combination_of_rule_flags"),
+    Mutant("props-period-preperiod-dropped", "src/eta26/props.py",
+           "seq, start = _period(ta % q, tb % q, step, q)",
+           "(seq, _), start = _period(ta % q, tb % q, step, q), 0",
+           "tests/test_props.py::test_period_at_p_equal_q_has_a_one_entry_preperiod"),
+    Mutant("props-period-shortened-by-one", "src/eta26/props.py",
+           "cycle = seq[start:-2]",
+           "cycle = seq[start:-3]",
+           "tests/test_props.py::test_cached_period_matches_a_reference_past_two_periods"),
 )
 
 

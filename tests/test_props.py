@@ -22,13 +22,21 @@ def _reports(prime_bound, exponent_bound, l_bound=1):
     return {r.prop_id: r for r in run_all(prime_bound, exponent_bound, l_bound)}
 
 
-def _powers(t_p, p, alpha_max):
-    """[t(p^0), ..., t(p^alpha_max)] from t(p) = t_p: an AlgInt3 through the
-    generator's t1 lane (t2(p) = 0), an int through its t2 lane (t1(p) = 0)."""
-    if isinstance(t_p, AlgInt3):
-        stream = t_prime_powers(p, t_p.a, t_p.b, 0)
-        return [AlgInt3(a, b) for a, b, _ in islice(stream, alpha_max + 1)]
-    return [c for _, _, c in islice(t_prime_powers(p, 0, 0, t_p), alpha_max + 1)]
+def _triple(p):
+    """(a, b, c) with t1(p) = a + b*sqrt(-3) and t2(p) = c, from the public values."""
+    t1 = t1_prime(p)
+    return t1.a, t1.b, t2_prime(p)
+
+
+def _powers(p, alpha_max):
+    """[(a_r, b_r, c_r) for r = 0..alpha_max]: t1(p^r) = a_r + b_r*sqrt(-3), t2(p^r) = c_r."""
+    return list(islice(t_prime_powers(p, *_triple(p)), alpha_max + 1))
+
+
+def _lanes(p):
+    """t1(p) and t2(p) as the pairs (x, y) of x + y*sqrt(-3) that _residues takes."""
+    a, b, c = _triple(p)
+    return (a, b), (c, 0)
 
 
 def test_t2_reference_residues_mod_7():
@@ -57,28 +65,24 @@ def test_t1_divisibility_values():
 
 
 def test_split_divisibility_values():
-    assert _powers(t2_prime(13), 13, 4)[-1] % 5 == 0
-    assert _powers(t2_prime(13), 13, 3)[-1] % 5 != 0
-    assert _powers(t1_prime(13), 13, 6)[-1].a % 7 == 0
-    assert _powers(t1_prime(13), 13, 5)[-1].a % 7 != 0
-    assert _powers(t2_prime(13), 13, 0)[-1] == 1
+    powers = _powers(13, 6)
+    assert powers[4][2] % 5 == 0
+    assert powers[3][2] % 5 != 0
+    assert powers[6][0] % 7 == 0
+    assert powers[5][0] % 7 != 0
+    assert powers[0][2] == 1
     report = _reports(800, 14)["divisibility-1mod12"]
     assert report.ok and report.checked > 0
 
 
 def test_periodicity_direct_at_13():
-    v = t2_prime(13)
-    sign = 1 if v % 5 == 2 else -1
+    powers = _powers(13, 14)
+    sign = 1 if t2_prime(13) % 5 == 2 else -1
     for k in range(6):
-        lhs = _powers(v, 13, 5 + k)[-1] % 5
-        rhs = (sign * _powers(v, 13, k)[-1]) % 5
-        assert lhs == rhs
-    u = t1_prime(13)
-    sign = 1 if u.a % 7 == 2 else -1
+        assert powers[5 + k][2] % 5 == (sign * powers[k][2]) % 5
+    sign = 1 if t1_prime(13).a % 7 == 2 else -1
     for k in range(8):
-        lhs = _powers(u, 13, 7 + k)[-1].a % 7
-        rhs = (sign * _powers(u, 13, k)[-1].a) % 7
-        assert lhs == rhs
+        assert powers[7 + k][0] % 7 == (sign * powers[k][0]) % 7
 
 
 def test_periodicity_sweep():
@@ -90,10 +94,11 @@ def test_difference_nonvanishing_values():
     assert t1_prime(13).a - t2_prime(13) == 16308864
     a0 = t1_prime(13).a // 2
     b0 = t2_prime(13) // 2
-    d2 = _powers(t1_prime(13), 13, 2)[-1].a - _powers(t2_prime(13), 13, 2)[-1]
-    assert d2 == 4 * (a0 * a0 - b0 * b0)
+    ta, _, tc = _powers(13, 2)[2]
+    assert ta - tc == 4 * (a0 * a0 - b0 * b0)
     # at p = 5: t1(25) = -5^12 and t2(25) = t2(5)^2 - 5^12
-    d = _powers(t1_prime(5), 5, 2)[-1].a - _powers(t2_prime(5), 5, 2)[-1]
+    ta, _, tc = _powers(5, 2)[2]
+    d = ta - tc
     assert d == -(20592**2) == -424030464
     report = _reports(400, 8)["t1-t2-difference-nonvanishing"]
     assert report.ok and report.checked > 0
@@ -104,7 +109,7 @@ def test_difference_verifier_reads_the_first_and_last_exponent(p, exponents):
     # handed t1(p) = t2(p), the claim fails at every exponent it reads:
     # 1..E at p = 1 (mod 12), the even ones up to E at p = 5 and 7
     v = 6
-    witnesses = props._difference_nonvanishing(p, False, AlgInt3(v, 0), v, 6)
+    witnesses = props._difference_nonvanishing(p, False, v, 0, v, 6)
     assert [a for _, a, detail in witnesses if detail == "t1(p^a) = t2(p^a)"] == exponents
 
 
@@ -113,7 +118,7 @@ def test_difference_verifier_memory_does_not_grow_with_the_exponent():
     # take about 11 MiB at p = 13
     tracemalloc.start()
     try:
-        assert list(props._difference_nonvanishing(13, False, t1_prime(13), t2_prime(13), 2000)) == []
+        assert list(props._difference_nonvanishing(13, False, *_triple(13), 2000)) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,26 +263,26 @@ def test_t2_skew_at_1_mod_12_witnesses_match_golden(monkeypatch):
 
 
 def _pairs(values, q):
-    return [(v.a % q, v.b % q) if isinstance(v, AlgInt3) else (v % q, 0) for v in values]
+    return [(x % q, y % q) for x, y, _ in values]
 
 
 def test_reduced_recursion_matches_exact_below_2000():
     for p in primes_below(2000):
         if p % 12 not in (1, 5, 7):
             continue
-        for t in (t1_prime(p), t2_prime(p)):
-            exact = _powers(t, p, 30)
+        for ta, tb in _lanes(p):
+            exact = list(islice(t_prime_powers(p, ta, tb, 0), 31))
             for q in (5, 7):
-                assert props._residues(t, p, 30, q) == _pairs(exact, q), (p, t, q)
+                assert props._residues(ta, tb, p, 30, q) == _pairs(exact, q), (p, ta, tb, q)
 
 
 def test_perturbed_reduced_recursion_is_reported(monkeypatch):
     real = props._residues
 
-    def perturbed(t_p, p, alpha_max, q):
-        out = real(t_p, p, alpha_max, q)
-        a, b = out[2]
-        out[2] = ((a + 1) % q, b)
+    def perturbed(ta, tb, p, alpha_max, q):
+        out = real(ta, tb, p, alpha_max, q)
+        x, y = out[2]
+        out[2] = ((x + 1) % q, y)
         return out
 
     monkeypatch.setattr(props, "_residues", perturbed)
@@ -294,9 +299,8 @@ def test_perturbed_reduced_recursion_is_reported(monkeypatch):
         ]
 
 
-def _reference_reduced(t, p, length, q, chi):
+def _reference_reduced(ta, tb, p, length, q, chi):
     # the Hecke recursion mod q on pairs, kept apart from props
-    ta, tb = (t.a, t.b) if isinstance(t, AlgInt3) else (t, 0)
     step = chi * p**12
     out = [(1 % q, 0), (ta % q, tb % q)]
     for _ in range(length - 1):
@@ -311,29 +315,76 @@ def test_shared_reduced_sequences_match_a_reference_below_2000():
         if p % 12 not in (1, 5, 7):
             continue
         chi = 1 if p % 4 == 1 else -1
-        for t in (t1_prime(p), t2_prime(p)):
+        for ta, tb in _lanes(p):
             for q in (5, 7):
                 for length in range(31):
-                    assert props._residues(t, p, length, q) == _reference_reduced(
-                        t, p, length, q, chi), (p, t, q, length)
+                    assert props._residues(ta, tb, p, length, q) == _reference_reduced(
+                        ta, tb, p, length, q, chi), (p, ta, tb, q, length)
 
 
-def test_reduced_memo_holds_one_sequence_per_residue_state():
-    props._reduced.cache_clear()
+def _state(ta, tb, p, q):
+    """_period's key for t(p) = ta + tb*sqrt(-3) mod q."""
+    chi = 1 if p % 4 == 1 else -1
+    return ta % q, tb % q, chi * p**12 % q, q
+
+
+def test_cached_period_matches_a_reference_past_two_periods():
+    states = set()
+    for p in primes_below(2000):
+        if p % 12 not in (1, 5, 7):
+            continue
+        chi = 1 if p % 4 == 1 else -1
+        for ta, tb in _lanes(p):
+            for q in (5, 7):
+                seq, start = props._period(*_state(ta, tb, p, q))
+                states.add(_state(ta, tb, p, q))
+                period = len(seq) - 2 - start
+                assert period >= 1
+                # seq ends at the first state, a pair of consecutive entries,
+                # that repeats: every earlier state is new
+                pairs = list(zip(seq, seq[1:]))
+                assert len(set(pairs[:-1])) == len(pairs) - 1
+                assert pairs[-1] == pairs[start]
+                length = start + 2 * period + 3
+                reference = _reference_reduced(ta, tb, p, length, q, chi)
+                assert list(seq) == reference[: len(seq)]
+                assert props._residues(ta, tb, p, length, q) == reference, (p, ta, tb, q)
+    assert len(states) <= 2 * (5**2 + 7**2)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_period_at_p_equal_q_has_a_one_entry_preperiod(p):
+    # chi * p^12 = 0 mod p, and the lane that vanishes at p (t1 at 5, t2 at
+    # 7) gives 1, 0, 0, ...: the state never comes back to (1, 0), (0, 0)
+    zero, unit = _lanes(p) if p == 5 else reversed(_lanes(p))
+    assert zero == (0, 0)
+    seq, start = props._period(*_state(*zero, p, p))
+    assert (seq, start) == (((1, 0), (0, 0), (0, 0), (0, 0)), 1)
+    assert props._residues(*zero, p, 6, p) == [(1, 0)] + [(0, 0)] * 6
+    # the other lane is a unit mod p, so t(p^r) = t(p)^r is purely periodic
+    seq, start = props._period(*_state(*unit, p, p))
+    assert start == 0
+    assert props._residues(*unit, p, 12, p) == _reference_reduced(*unit, p, 12, p, 1)
+
+
+def test_period_cache_does_not_grow_with_the_bounds():
+    props._PERIODS.clear()
     run_all(100000, 14, 3)
-    info = props._reduced.cache_info()
-    lengths = {2 * 14, 14, 5 * 3 + 5, 7 * 3 + 7, 6}
-    assert info.currsize <= 2 * (5**2 + 7**2) * len(lengths)
-    assert info.hits > 100 * info.currsize
+    states = set(props._PERIODS)
+    assert len(states) <= 2 * (5**2 + 7**2)
+    assert max(len(seq) for seq, _ in props._PERIODS.values()) <= 170
+    run_all(10000, 40, 300)
+    assert set(props._PERIODS) <= states
+    assert max(len(seq) for seq, _ in props._PERIODS.values()) <= 170
 
 
 def test_editing_a_returned_sequence_leaves_the_memo_intact():
     t = t2_prime(13)
-    first = props._residues(t, 13, 10, 5)
+    first = props._residues(t, 0, 13, 10, 5)
     expected = list(first)
     first[2] = ((first[2][0] + 1) % 5, first[2][1])
     first.append((9, 9))
-    assert props._residues(t, 13, 10, 5) == expected
+    assert props._residues(t, 0, 13, 10, 5) == expected
 
 
 def _object_recursion(t_p, p, alpha_max, chi):
