@@ -9,15 +9,14 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
 from itertools import compress, count
 from typing import Iterator
 
 from .errors import FactoringBudgetError
 
-# Primes below this bound come from one sieve: is_prime looks them up, and
-# primes_below and hecke's prime-value cache read them.
+# Primes below this bound come from one import-time sieve: is_prime looks
+# them up, _primes reads them off it, and hecke caches prime values below it.
 SIEVE_BOUND = 100_000
 
 # Miller-Rabin with the first k prime bases proves m prime below psi_k, the
@@ -65,20 +64,19 @@ def _sieve(bound: int) -> bytearray:
 
 # Primality below SIEVE_BOUND is a lookup in this table.
 _SMALL_FLAGS = _sieve(SIEVE_BOUND)
-_SMALL_PRIMES = list(compress(range(SIEVE_BOUND), _SMALL_FLAGS))
 # factorize trial-divides by these, the 168 primes below 1000, and hands
 # what is left to Miller-Rabin and Pollard-Brent.
-_TRIAL_PRIMES = _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, 1_000)]
+_TRIAL_PRIMES = list(compress(range(1_000), _SMALL_FLAGS))
 
 
 def _primes(bound: int) -> Iterator[int]:
     """The primes p < bound, ascending, in memory that does not grow with bound.
 
-    Those below SIEVE_BOUND come from the import-time sieve; past it, each
-    segment of _PRIME_SEGMENT numbers is sieved by the primes to sqrt(bound),
-    which this generator makes itself, and read before the next is made.
+    Those below SIEVE_BOUND are read off _SMALL_FLAGS; past it, each segment
+    of _PRIME_SEGMENT numbers is sieved by the primes to sqrt(bound), which
+    this generator makes itself, and read before the next is made.
     """
-    yield from _SMALL_PRIMES[: bisect_left(_SMALL_PRIMES, bound)]
+    yield from compress(range(min(bound, SIEVE_BOUND)), _SMALL_FLAGS)
     if bound <= SIEVE_BOUND:
         return
     base = list(_primes(math.isqrt(bound - 1) + 1))
@@ -419,21 +417,21 @@ def factor_progression(step: int, offset: int, start: int,
     """factorize(step * n + offset) for n = start, ..., end, in index order, by one sieve.
 
     The first index goes to factorize, with no per-prime set-up.  Then each
-    prime p up to min(sqrt(step * end + offset), SIEVE_BOUND - 1) takes its
-    first index once, and divides it and every p-th index after it out of
-    blocks of _PROGRESSION_BLOCK indices; a p that divides step divides every
-    term or none.  What is left of a term is 1 or a prime unless the primes
-    were capped: a cofactor that may be composite goes straight to the
-    cofactor loop of _with_cofactor, with its budget.
+    prime p that _primes yields up to min(sqrt(step * end + offset),
+    SIEVE_BOUND - 1) takes its first index once, and divides it and every
+    p-th index after it out of blocks of _PROGRESSION_BLOCK indices; a p
+    that divides step divides every term or none.  What is left of a term
+    is 1 or a prime unless the primes were capped: a cofactor that may be
+    composite goes straight to the cofactor loop of _with_cofactor, with its
+    budget.
     """
     if step < 1 or offset < 1 or start < 0 or end < start:
         raise ValueError("factor_progression expects step, offset >= 1 and 0 <= start <= end")
     yield factorize(step * start + offset)
     bound = min(math.isqrt(step * end + offset), SIEVE_BOUND - 1)
-    count = bisect_right(_SMALL_PRIMES, bound)
     lo, limit = start + 1, (bound + 1) ** 2
     sieve = []  # [p, stride, next index] of each prime that divides some term
-    for p in _SMALL_PRIMES[:count]:
+    for p in _primes(bound + 1):
         if step % p:
             sieve.append([p, p, lo + -(step * lo + offset) * pow(step, -1, p) % p])
         elif offset % p == 0:

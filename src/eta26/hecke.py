@@ -8,8 +8,9 @@ where t1p and t2p are multiplicative and satisfy a two-term recursion at
 prime powers.  The paper (after Serre) writes the numerator with four
 terms, t1p and t2p plus their minus twists; the twists equal t1p and t2p
 at every m = 1 mod 12 (see coeff_bundle), so two terms remain.  t1
-values live in Z[sqrt(-3)] (AlgInt3 below), t2 values in Z; every
-computation is exact integer arithmetic, no floating point anywhere.
+values live in Z[sqrt(-3)], computed as integer pairs (a, b) for
+a + b*sqrt(-3), t2 values in Z; every computation is exact integer
+arithmetic, no floating point anywhere.
 
 Prime values by residue class of p (mod 12), read off the twelfth powers
 pi^12 = (x + iy)^12 and rho^12 = (z + w*sqrt(-3))^12 of the normalized
@@ -25,7 +26,7 @@ primes already certified; it caches only primes below SIEVE_BOUND.  Prime
 powers come from one generator, t_prime_powers, which runs the recursion
 on t1 and t2 together from that core's triple.  p26 comes from one
 product loop over a factorization of m, _products, and one checked
-division, _p26: coeff_bundle keeps their inputs in a CoeffBundle, and
+division, _p26: coeff_bundle keeps m, t1p and t2p in a CoeffBundle, and
 p26_cm, which classify calls at every index of a range, builds no bundle.
 """
 
@@ -46,29 +47,10 @@ P26_DENOMINATOR = 32617728
 
 @dataclass(frozen=True, slots=True)
 class AlgInt3:
-    """a + b*sqrt(-3) with arbitrary-precision components."""
+    """a + b*sqrt(-3) with arbitrary-precision components: a value, with no arithmetic."""
 
     a: int
     b: int
-
-    def __add__(self, other: "AlgInt3") -> "AlgInt3":
-        return AlgInt3(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "AlgInt3") -> "AlgInt3":
-        return AlgInt3(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "AlgInt3":
-        return AlgInt3(-self.a, -self.b)
-
-    def __mul__(self, other: "AlgInt3 | int") -> "AlgInt3":
-        if isinstance(other, int):
-            return AlgInt3(self.a * other, self.b * other)
-        return AlgInt3(
-            self.a * other.a - 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
 
 
 def _pow12(u: int, v: int, d: int) -> tuple[int, int]:
@@ -163,11 +145,10 @@ class CoeffBundle:
     """t1p and t2p at one m = 1 mod 12.
 
     Construction stores p26 from _p26, which checks the combination as
-    p26_cm does.  The factorization of m is kept for reuse.
+    p26_cm does.
     """
 
     m: int
-    factorization: Factorization
     t1p: AlgInt3
     t2p: int
     p26: int = field(init=False)
@@ -180,11 +161,11 @@ class CoeffBundle:
         return AlgInt3(2 * (self.t1p.a - self.t2p), 2 * self.t1p.b)
 
 
-def _products(m: int, fac: Factorization | None) -> tuple[Factorization, int, int, int]:
-    """(fac, a, b, t2p) with t1p(m) = a + b*sqrt(-3), multiplied over m's prime powers.
+def _products(m: int, fac: Factorization | None) -> tuple[int, int, int]:
+    """(a, b, t2p) with t1p(m) = a + b*sqrt(-3), multiplied over m's prime powers.
 
     fac is m's factorization (ValueError if its value is not m), or None
-    to have factorize make the one returned.
+    to have factorize make it.
     """
     if fac is None:
         fac = factorize(m)
@@ -197,14 +178,11 @@ def _products(m: int, fac: Factorization | None) -> tuple[Factorization, int, in
             ta, tb, t2 = next(islice(t_prime_powers(p, ta, tb, t2), alpha, None))
         a, b = a * ta - 3 * b * tb, a * tb + b * ta
         t2p *= t2
-    return fac, a, b, t2p
+    return a, b, t2p
 
 
-def coeff_bundle(m: int, fac: Factorization | None = None) -> CoeffBundle:
-    """Assemble t1p and t2p at m = 12n + 13 multiplicatively.
-
-    fac is m's factorization (ValueError if its value is not m), or None
-    to have factorize make it.
+def coeff_bundle(m: int) -> CoeffBundle:
+    """Assemble t1p and t2p at m = 12n + 13 multiplicatively, over factorize(m).
 
     The paper's minus twists negate t1p (t2p) when an odd number of primes
     = 7 (5) mod 12 divide m to an odd power.  That sign never matters:
@@ -214,8 +192,8 @@ def coeff_bundle(m: int, fac: Factorization | None = None) -> CoeffBundle:
     """
     if m % 12 != 1 or m < 13:
         raise ValueError(f"coeff_bundle expects m = 1 mod 12, m >= 13, got {m}")
-    fac, a, b, t2p = _products(m, fac)
-    return CoeffBundle(m, fac, AlgInt3(a, b), t2p)
+    a, b, t2p = _products(m, None)
+    return CoeffBundle(m, AlgInt3(a, b), t2p)
 
 
 def p26_cm(n: int, fac: Factorization | None = None) -> int:
@@ -228,4 +206,4 @@ def p26_cm(n: int, fac: Factorization | None = None) -> int:
     if n < 0:
         raise ValueError("p26_cm expects n >= 0")
     m = 12 * n + 13
-    return _p26(m, *_products(m, fac)[1:])
+    return _p26(m, *_products(m, fac))

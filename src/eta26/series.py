@@ -41,9 +41,6 @@ class PowerSeries:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i]
 
-    def __len__(self) -> int:
-        return self.order + 1
-
 
 def _pentagonal_terms(order: int) -> list[tuple[int, int]]:
     """The nonzero (k, g_k) with k <= order of prod(1 - q^m), k ascending.

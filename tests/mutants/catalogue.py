@@ -173,6 +173,10 @@ CATALOGUE = (
            "cycle = seq[start:-2]",
            "cycle = seq[start:-3]",
            "tests/test_props.py::test_cached_period_matches_a_reference_past_two_periods"),
+    Mutant("arith-progression-prime-bound-off-by-one", "src/eta26/arith.py",
+           "for p in _primes(bound + 1):",
+           "for p in _primes(bound):",
+           "tests/test_arith.py::test_factor_progression_takes_each_start_offset_once"),
 )
 
 

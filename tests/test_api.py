@@ -34,6 +34,12 @@ def test_every_exported_name_resolves():
         assert getattr(eta26, name) is not None, name
 
 
+def test_readme_counts_the_names_of_all():
+    # the count in README's prose is kept by hand; the table is checked below
+    stated = re.findall(r"`eta26\.__all__` holds (\d+) names", README.read_text())
+    assert stated == [str(len(eta26.__all__))]
+
+
 def test_all_equals_the_readme_public_api():
     names = _readme_names()
     assert len(names) == len(set(names))

@@ -387,11 +387,17 @@ def test_editing_a_returned_sequence_leaves_the_memo_intact():
     assert props._residues(t, 0, 13, 10, 5) == expected
 
 
+def _mul(u, v):
+    """u * v in Z[sqrt(-3)] on AlgInt3 values: this file's own product."""
+    return AlgInt3(u.a * v.a - 3 * u.b * v.b, u.a * v.b + u.b * v.a)
+
+
 def _object_recursion(t_p, p, alpha_max, chi):
-    # the recursion on AlgInt3 objects, kept apart from hecke
+    # the recursion on AlgInt3 values by this file's own product, apart from hecke
     out = [AlgInt3(1, 0), t_p]
     for _ in range(alpha_max - 1):
-        out.append(t_p * out[-1] - (chi * p**12) * out[-2])
+        head, tail = _mul(t_p, out[-1]), _mul(AlgInt3(chi * p**12, 0), out[-2])
+        out.append(AlgInt3(head.a - tail.a, head.b - tail.b))
     return out[: alpha_max + 1]
 
 
