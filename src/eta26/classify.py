@@ -27,14 +27,14 @@ not covered by cond I / cond II would contradict the expected converse
 and is counted by RangeStream, never suppressed.
 
 An index is read off one factorization of 12n + 13: p26 by hecke.p26_cm,
-the flags from two bitmasks of classes mod 12, and the prediction from
-one cached entry per combination of the seven rule flags.
+the rest from one cached entry per class state, which one walk over its
+primes gathers.  FAMILIES is the one anchor table: the families of
+check_family, and the ell of the rules ell^2-with-even-shape.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -90,73 +90,45 @@ class VanishingReport:
             (self.p26_value == 0) == (self.predicted == PREDICT_ZERO))
 
 
-def _exponent_gate(fac: Factorization, q: int) -> bool:
-    """No prime = 1 (mod 12) divides fac to a power = -1 (mod q)."""
-    return all(e % q != q - 1 for p, e in fac if p % 12 == 1)
-
-
 # one bit per class mod 12 of a prime dividing m; m is prime to 6, so the
 # class fixes those mod 4 and mod 3
 _C5, _C7, _C11 = 1 << 5, 1 << 7, 1 << 11
+# one bit per anchor q of FAMILIES, in its order
+_ANCHOR_BITS = {q: 1 << i for i, q in enumerate(FAMILIES.values())}
+
+_ZERO_RULES = ("cond-I", "cond-II")
+_NONZERO_RULES = ("prime-power", "odd-exp-5-mod-12",
+                  *(f"{mult}-with-even-shape" for mult in FAMILIES), "odd-exp-7-mod-12")
 
 
-def _profile(n: int, fac: Factorization) -> ConditionProfile:
-    classes = odd = 0  # the classes of all primes of m, and of those to an odd power
+def _class_state(fac: Factorization) -> tuple[bool, int, int, int]:
+    """(one prime, classes, odd, anchored) of m = fac.value, from one walk over its primes.
+
+    classes and odd: the classes mod 12 of all primes of m, and of those to an
+    odd power.  anchored: bit _ANCHOR_BITS[q] when q | m and no prime = 1
+    (mod 12) divides m to a power = -1 (mod q), for each anchor q of FAMILIES.
+    """
+    classes = odd = divides = tripped = 0
     for p, e in fac.factors:
         bit = 1 << p % 12
         classes |= bit
         if e & 1:
             odd |= bit
-    witness = classes & ~_C11 != 0
-    even_shape = not odd & (_C5 | _C7 | _C11)
-    no_3_mod_4, no_2_mod_3 = not odd & (_C7 | _C11), not odd & (_C5 | _C11)
-    prof = ConditionProfile(
-        n=n, m=fac.value, factorization=fac,
-        cond_i=not (no_3_mod_4 or no_2_mod_3),
-        cond_ii=not odd and classes == _C11,
-        n1=witness and no_3_mod_4,
-        n2=witness and no_2_mod_3,
-        prime_power=len(fac.factors) == 1 and witness,
-        odd_exp_5=odd & _C5 != 0 and no_3_mod_4,
-        div_25=even_shape and fac.value % 25 == 0 and _exponent_gate(fac, 5),
-        div_49=even_shape and fac.value % 49 == 0 and _exponent_gate(fac, 7),
-        odd_exp_7=odd & _C7 != 0 and no_2_mod_3,
-    )
-    # logically impossible combinations; a violation means the flag
-    # computation itself is broken
-    if prof.cond_i and (prof.n1 or prof.n2):
-        raise ConsistencyError(f"cond I with N1/N2 at n={n}")
-    return prof
+        if p % 12 == 1:
+            for q, q_bit in _ANCHOR_BITS.items():
+                if e % q == q - 1:
+                    tripped |= q_bit
+        divides |= _ANCHOR_BITS.get(p, 0)
+    return len(fac.factors) == 1, classes, odd, divides & ~tripped
 
 
-def _evaluate(n: int, fac: Factorization | None) -> tuple[ConditionProfile, int]:
-    """Profile and p26(n), both from one factorization of 12n + 13 (fac, if given)."""
-    if n < 0:
-        raise ValueError(f"expected n >= 0, got {n}")
-    if fac is None:
-        fac = factorize(12 * n + 13)
-    return _profile(n, fac), hecke.p26_cm(n, fac)
-
-
-_ZERO_RULES = (("cond-I", "cond_i"), ("cond-II", "cond_ii"))
-_NONZERO_RULES = (
-    ("prime-power", "prime_power"),
-    ("odd-exp-5-mod-12", "odd_exp_5"),
-    ("25-with-even-shape", "div_25"),
-    ("49-with-even-shape", "div_49"),
-    ("odd-exp-7-mod-12", "odd_exp_7"),
-)
-_rule_flags = operator.attrgetter(*(attr for _, attr in _ZERO_RULES + _NONZERO_RULES))
-
-
-@functools.cache
 def _verdict(flags: tuple[bool, ...]) -> tuple[str, tuple[str, ...]]:
     """(predicted, explanation) for the flags of _ZERO_RULES + _NONZERO_RULES, in order.
 
     ConsistencyError when a zero rule and a nonzero rule both hold.
     """
-    zero_hits = tuple(name for (name, _), flag in zip(_ZERO_RULES, flags) if flag)
-    nonzero_hits = tuple(name for (name, _), flag
+    zero_hits = tuple(name for name, flag in zip(_ZERO_RULES, flags) if flag)
+    nonzero_hits = tuple(name for name, flag
                          in zip(_NONZERO_RULES, flags[len(_ZERO_RULES):]) if flag)
     if zero_hits and nonzero_hits:
         raise ConsistencyError(f"contradictory predictions: {zero_hits} vs {nonzero_hits}")
@@ -165,39 +137,66 @@ def _verdict(flags: tuple[bool, ...]) -> tuple[str, tuple[str, ...]]:
     return predicted, zero_hits + nonzero_hits
 
 
+@functools.cache
+def _rules(state: tuple[bool, int, int, int]) -> tuple[tuple[bool, ...], tuple[str, tuple]]:
+    """ConditionProfile's nine flags in field order, and (predicted, explanation), of a state."""
+    single, classes, odd, anchored = state
+    witness = classes & ~_C11 != 0
+    no_3_mod_4, no_2_mod_3 = not odd & (_C7 | _C11), not odd & (_C5 | _C11)
+    even_shape = not odd & (_C5 | _C7 | _C11)
+    cond_i = not (no_3_mod_4 or no_2_mod_3)
+    n1, n2 = witness and no_3_mod_4, witness and no_2_mod_3
+    if cond_i and (n1 or n2):  # impossible: the flag computation itself is broken
+        raise ConsistencyError("cond I with N1/N2")
+    zero = (cond_i, not odd and classes == _C11)
+    nonzero = (single and witness, odd & _C5 != 0 and no_3_mod_4,
+               *(even_shape and anchored & bit != 0 for bit in _ANCHOR_BITS.values()),
+               odd & _C7 != 0 and no_2_mod_3)
+    return zero + (n1, n2) + nonzero, _verdict(zero + nonzero)
+
+
+def _evaluate(n: int, fac: Factorization | None) -> tuple[ConditionProfile, int, tuple, int]:
+    """Profile, p26(n), verdict and anchor mask, all from fac or else factorize(12n + 13)."""
+    if n < 0:
+        raise ValueError(f"expected n >= 0, got {n}")
+    if fac is None:
+        fac = factorize(12 * n + 13)
+    state = _class_state(fac)
+    try:
+        flags, verdict = _rules(state)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{exc} at n={n}") from None
+    return ConditionProfile(n, fac.value, fac, *flags), hecke.p26_cm(n, fac), verdict, state[3]
+
+
 def apply_theorems(n: int, fac: Factorization | None = None) -> VanishingReport:
     """Predict zero/nonzero where a condition applies and reconcile with p26_cm.
 
     fac, if given, is the factorization of 12n + 13.
     """
-    prof, value = _evaluate(n, fac)
-    try:
-        predicted, explanation = _verdict(_rule_flags(prof))
-    except ConsistencyError as exc:
-        raise ConsistencyError(f"{exc} at n={n}") from None
-    return VanishingReport(prof, value, predicted, explanation)
+    prof, value, verdict, _ = _evaluate(n, fac)
+    return VanishingReport(prof, value, *verdict)
 
 
 def check_family(mult: int, n: int, fac: Factorization | None = None) -> VanishingReport:
     """Vanishing biconditional for p26(mult*n + offset), gated on 12n + 1.
 
-    mult is a key of FAMILIES: 25 (offset 1, q = 5) or 49 (offset 3,
-    q = 7).  Applicable when no prime = 1 (mod 12) divides 12n + 1 to a
-    power = -1 (mod q); then p26(mult*n + offset) = 0 exactly when
-    12n + 1 satisfies cond I.  Outside the gate there is no prediction.
-    The gate and cond I are read off the one factorization of
-    m = 12(mult*n + offset) + 13 = q^2 (12n + 1), so mt-check factors each
-    index once: as q != 1 (mod 12), m has the primes = 1 (mod 12) of
-    12n + 1 with the same exponents, and every exponent keeps its parity.
-    fac, if given, is the factorization of that m.
+    mult is a key of FAMILIES, q = FAMILIES[mult], offset = (mult - 13) // 12.
+    Applicable when no prime = 1 (mod 12) divides 12n + 1 to a power
+    = -1 (mod q); then p26(mult*n + offset) = 0 exactly when 12n + 1
+    satisfies cond I.  Outside the gate there is no prediction.  Both are
+    read off the one walk over m = 12(mult*n + offset) + 13 = q^2 (12n + 1)
+    (fac, if given, is its factorization): as q != 1 (mod 12), m has the
+    primes = 1 (mod 12) of 12n + 1 with the same exponents, every exponent
+    keeps its parity, and q | m, so m's anchor bit for q is the gate.
     """
     if mult not in FAMILIES:
         raise ValueError(f"unknown family {mult}; expected one of {list(FAMILIES)}")
     if n < 0:
         raise ValueError("check_family expects n >= 0")
     q, offset = FAMILIES[mult], (mult - 13) // 12
-    prof, value = _evaluate(mult * n + offset, fac)
-    if not _exponent_gate(prof.factorization, q):
+    prof, value, _, anchored = _evaluate(mult * n + offset, fac)
+    if not anchored & _ANCHOR_BITS[q]:
         return VanishingReport(prof, value, PREDICT_NONE, (f"mod-{q}-exponent-gate-failed",))
     predicted = PREDICT_ZERO if prof.cond_i else PREDICT_NONZERO
     return VanishingReport(prof, value, predicted, (f"iff-{mult}n-plus-{offset}",))

@@ -48,8 +48,8 @@ CATALOGUE = (
            "step = -p**12 if p % 4 == 1 else p**12",
            "tests/test_acceptance.py::test_criterion_04_cm_equals_oracle"),
     Mutant("classify-exponent-gate-off-by-one", "src/eta26/classify.py",
-           "e % q != q - 1",
-           "e % q != q - 2",
+           "e % q == q - 1",
+           "e % q == q - 2",
            "tests/test_classify.py::test_profile_matches_reference_to_30000"),
     Mutant("props-no-spot-checks", "src/eta26/props.py",
            "_SPOT_CHECKS = 3",
@@ -64,8 +64,8 @@ CATALOGUE = (
            "if False:",
            "tests/test_arith.py::test_factoring_budget_is_enforced"),
     Mutant("classify-cond-ii-dropped", "src/eta26/classify.py",
-           '_ZERO_RULES = (("cond-I", "cond_i"), ("cond-II", "cond_ii"))',
-           '_ZERO_RULES = (("cond-I", "cond_i"),)',
+           '_ZERO_RULES = ("cond-I", "cond-II")',
+           '_ZERO_RULES = ("cond-I",)',
            "tests/test_acceptance.py::test_criterion_10_no_unexplained_zeros"),
     Mutant("series-remainder-unchecked", "src/eta26/series.py",
            "        if rem:\n",
@@ -177,6 +177,14 @@ CATALOGUE = (
            "for p in _primes(bound + 1):",
            "for p in _primes(bound):",
            "tests/test_arith.py::test_factor_progression_takes_each_start_offset_once"),
+    Mutant("classify-gate-reads-every-class", "src/eta26/classify.py",
+           "        if p % 12 == 1:\n",
+           "        if True:\n",
+           "tests/test_classify.py::test_mt_gate_detection_uses_1_mod_12_primes_only"),
+    Mutant("classify-family-gate-ignored", "src/eta26/classify.py",
+           "if not anchored & _ANCHOR_BITS[q]:",
+           "if False:",
+           "tests/test_classify.py::test_check_family_matches_reference_at_gate_shapes"),
 )
 
 

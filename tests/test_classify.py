@@ -33,7 +33,7 @@ from eta26.errors import ConsistencyError
 
 def _profile_of(n):
     """Every condition flag for one index, from its own factorization."""
-    return classify_mod._profile(n, factorize(12 * n + 13))
+    return apply_theorems(n).profile
 
 
 def test_profile_examples():
@@ -98,7 +98,8 @@ def test_profile_matches_reference_on_built_factorizations(exponents):
     # the class form needs only primes prime to 6, not m = 1 (mod 12)
     factors = tuple(sorted(exponents.items()))
     fac = Factorization(prod(p**e for p, e in factors), factors)
-    assert classify_mod._profile(0, fac) == _reference_profile(0, fac)
+    flags, _ = classify_mod._rules(classify_mod._class_state(fac))
+    assert ConditionProfile(0, fac.value, fac, *flags) == _reference_profile(0, fac)
 
 
 def test_apply_theorems_examples():
@@ -135,26 +136,24 @@ def _reference_consistent(report):
 
 _RULE_NAMES = ("cond-I", "cond-II", "prime-power", "odd-exp-5-mod-12", "25-with-even-shape",
                "49-with-even-shape", "odd-exp-7-mod-12")
-_RULE_FIELDS = ("cond_i", "cond_ii", "prime_power", "odd_exp_5", "div_25", "div_49",
-                "odd_exp_7")
 
 
 def test_verdict_over_every_combination_of_rule_flags(monkeypatch):
     # two zero rules, then five nonzero rules; a zero and a nonzero hit
     # together contradict each other, in the table and at the index
-    real = classify_mod._profile
-    monkeypatch.setattr(classify_mod, "_profile", lambda n, fac: dataclasses.replace(
-        real(n, fac), **dict(zip(_RULE_FIELDS, flags))))
     for flags in itertools.product((False, True), repeat=7):
         names = tuple(name for name, flag in zip(_RULE_NAMES, flags) if flag)
         if any(flags[:2]) and any(flags[2:]):
-            with pytest.raises(ConsistencyError, match="contradictory predictions.* at n=9"):
-                apply_theorems(9)
+            with pytest.raises(ConsistencyError, match="^contradictory predictions"):
+                classify_mod._verdict(flags)
         else:
-            report = apply_theorems(9)
-            assert report.explanation == names
-            assert report.predicted == (PREDICT_ZERO if any(flags[:2]) else
-                                        PREDICT_NONZERO if names else PREDICT_NONE)
+            assert classify_mod._verdict(flags) == (
+                PREDICT_ZERO if any(flags[:2]) else PREDICT_NONZERO if names else PREDICT_NONE,
+                names)
+    # a contradiction at an index names the index
+    monkeypatch.setattr(classify_mod, "_rules", lambda state: classify_mod._verdict((True,) * 7))
+    with pytest.raises(ConsistencyError, match="^contradictory predictions.* at n=9$"):
+        apply_theorems(9)
 
 
 def test_consistent_matches_three_branch_rule_to_5000():
@@ -249,8 +248,9 @@ _REFERENCE_FAMILIES = {25: (1, 5), 49: (3, 7)}
 def _reference_check_family(mult, n):
     offset, q = _REFERENCE_FAMILIES[mult]
     base = factorize(12 * n + 1)
-    prof = _profile_of(mult * n + offset)
-    value = p26_cm(mult * n + offset)
+    k = mult * n + offset
+    prof = _reference_profile(k, factorize(12 * k + 13))
+    value = p26_cm(k)
     if any(e % q == q - 1 for p, e in base if p % 12 == 1):
         report = VanishingReport(
             prof, value, PREDICT_NONE, (f"mod-{q}-exponent-gate-failed",)

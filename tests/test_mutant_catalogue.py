@@ -3,11 +3,12 @@
 No mutant runs here: this only checks that every entry's old text occurs
 exactly once in its file and that its test function is defined in its test
 file, so that a change to either shows up at once rather than on the next
-run of tests/mutants/catalogue.py.
+run of tests/mutants/catalogue.py; and that README states the catalogue's size.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,12 @@ def _load_catalogue():
 
 
 CATALOGUE = _load_catalogue()
+
+
+def test_readme_counts_the_mutants_of_the_catalogue():
+    # the count in README's prose is kept by hand; tie it to the catalogue
+    stated = re.findall(r"\((\d+) mutants\)", (ROOT / "README.md").read_text())
+    assert stated == [str(len(CATALOGUE))]
 
 
 def test_catalogue_names_are_unique():
