@@ -13,7 +13,7 @@ verifies divisibility and nonvanishing claims over prime ranges, and cli
 exposes everything with machine-readable output.
 """
 
-from .arith import Factorization, factor_progression, factorize, is_prime, primes_below
+from .arith import Factorization, factor_progression, factorize, is_prime
 from .classify import (
     ConditionProfile,
     RangeStream,
@@ -67,7 +67,6 @@ __all__ = [
     "is_prime",
     "p26_cm",
     "p26_oracle",
-    "primes_below",
     "run_all",
     "t1_prime",
     "t2_prime",

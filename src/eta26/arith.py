@@ -15,8 +15,8 @@ from typing import Iterator
 
 from .errors import FactoringBudgetError
 
-# Primes below this bound come from one import-time sieve: is_prime looks
-# them up, _primes reads them off it, and hecke caches prime values below it.
+# factor_progression sieves by the primes below this bound, ECM's stage 2
+# stops below it, and hecke caches prime values below it.
 SIEVE_BOUND = 100_000
 
 # Miller-Rabin with the first k prime bases proves m prime below psi_k, the
@@ -48,41 +48,25 @@ _ECM_D = 210
 
 # factor_progression sieves blocks of at most this many indices.
 _PROGRESSION_BLOCK = 512
-# _primes sieves past SIEVE_BOUND in segments of this many numbers.
+# _primes sieves in segments of this many numbers.
 _PRIME_SEGMENT = 1 << 16
-
-
-def _sieve(bound: int) -> bytearray:
-    """flags[i] == 1 exactly when i < bound is prime."""
-    flags = bytearray([1]) * bound
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = b"\x00" * len(range(i * i, bound, i))
-    return flags
-
-
-# Primality below SIEVE_BOUND is a lookup in this table.
-_SMALL_FLAGS = _sieve(SIEVE_BOUND)
-# factorize trial-divides by these, the 168 primes below 1000, and hands
-# what is left to Miller-Rabin and Pollard-Brent.
-_TRIAL_PRIMES = list(compress(range(1_000), _SMALL_FLAGS))
 
 
 def _primes(bound: int) -> Iterator[int]:
     """The primes p < bound, ascending, in memory that does not grow with bound.
 
-    Those below SIEVE_BOUND are read off _SMALL_FLAGS; past it, each segment
-    of _PRIME_SEGMENT numbers is sieved by the primes to sqrt(bound), which
-    this generator makes itself, and read before the next is made.
+    Each segment of _PRIME_SEGMENT numbers, from 0 on, is sieved by the
+    primes to sqrt(bound), which this generator makes itself, and read before
+    the next is made.  This is the module's one prime source.
     """
-    yield from compress(range(min(bound, SIEVE_BOUND)), _SMALL_FLAGS)
-    if bound <= SIEVE_BOUND:
+    if bound <= 2:
         return
     base = list(_primes(math.isqrt(bound - 1) + 1))
-    for lo in range(SIEVE_BOUND, bound, _PRIME_SEGMENT):
+    for lo in range(0, bound, _PRIME_SEGMENT):
         hi = min(lo + _PRIME_SEGMENT, bound)
         flags = bytearray([1]) * (hi - lo)
+        if lo == 0:
+            flags[:2] = b"\x00\x00"
         for p in base:
             if p * p >= hi:
                 break
@@ -91,9 +75,9 @@ def _primes(bound: int) -> Iterator[int]:
         yield from compress(range(lo, hi), flags)
 
 
-def primes_below(bound: int) -> list[int]:
-    """All primes p < bound, ascending."""
-    return list(_primes(bound))
+# factorize trial-divides by these, the 168 primes below 1000, and hands
+# what is left to Miller-Rabin and Pollard-Brent.
+_TRIAL_PRIMES = list(_primes(1_000))
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -114,16 +98,16 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_prime(m: int) -> bool:
     """Primality test.
 
-    Exact by sieve lookup below SIEVE_BOUND; deterministic
-    Miller-Rabin below 3.3e24, stopping after base k once m < psi_k of OEIS
-    A014233 (_PSI: 2 bases below 1.37e6, 5 below 2.1e12); beyond that the
+    Trial division by the bases _MR_BASES, then deterministic Miller-Rabin
+    below 3.3e24, stopping after base k once m < psi_k of OEIS A014233
+    (_PSI: 1 base below 2047, 2 below 1.37e6, 5 below 2.1e12); beyond that the
     answer is probabilistic with error probability below 2**-128.  The extra
     bases are drawn from an RNG seeded by m, so the answer is reproducible.
     """
     if m < 0:
         raise ValueError("is_prime expects m >= 0")
-    if m < SIEVE_BOUND:
-        return _SMALL_FLAGS[m] == 1
+    if m < 2:
+        return False
     for p in _MR_BASES:
         if m % p == 0:
             return m == p
@@ -166,24 +150,27 @@ def _ecm_plan(b1: int) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """(k, steps, cost) of one curve with stage-1 bound b1, built on first use.
 
     k is the product of the largest power <= b1 of each prime.  steps[m - 1]
-    lists the odd j < D / 2, D = _ECM_D, for which m * D - j or m * D + j is
-    a prime in (b1, B2], with B2 = min(100 * b1, SIEVE_BOUND - 1): a pair of
-    primes m * D -+ j costs one factor of the stage-2 product.  cost is the
-    number of multiplications mod n in stage 2, to within a few.
+    lists, ascending, the j = |q - m * D| of the primes q in (b1, B2] whose
+    nearest multiple of D = _ECM_D is m * D, with B2 = min(100 * b1,
+    SIEVE_BOUND - 1).  Such a j is odd and below D / 2, as q is prime to D, and
+    a pair of primes m * D -+ j costs one factor of the stage-2 product.  cost
+    is the number of multiplications mod n in stage 2, to within a few.
     """
     k = 1
-    for p in primes_below(b1 + 1):
+    for p in _primes(b1 + 1):
         q = p
         while q * p <= b1:
             q *= p
         k *= q
     b2 = min(100 * b1, SIEVE_BOUND - 1)
-    steps = []
-    for m in range(1, (b2 + _ECM_D // 2) // _ECM_D + 1):
-        steps.append(tuple(j for j in range(1, _ECM_D // 2, 2) if any(
-            b1 < q <= b2 and _SMALL_FLAGS[q] for q in (m * _ECM_D - j, m * _ECM_D + j))))
+    pairs: list[set[int]] = [set() for _ in range((b2 + _ECM_D // 2) // _ECM_D)]
+    for q in _primes(b2 + 1):
+        if q > b1:
+            m = (q + _ECM_D // 2) // _ECM_D
+            pairs[m - 1].add(abs(q - m * _ECM_D))
+    steps = tuple(tuple(sorted(js)) for js in pairs)
     cost = 6 * (_ECM_D // 4 + 2 + len(steps)) + 3 * sum(map(len, steps))
-    return k, tuple(steps), cost
+    return k, steps, cost
 
 
 def _ecm_curve(n: int, sigma: int, b1: int, budget: list[int]) -> int:

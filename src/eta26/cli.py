@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Callable, Iterable, TypeVar
 
-from . import classify, props, series
+from . import arith, classify, props, series
 from .errors import ConsistencyError, Eta26Error
 from .hecke import AlgInt3, p26_cm, t1_prime, t2_prime
 
@@ -290,7 +290,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     jacobi = series.eta_power_series(3, 21, args.budget_mb)
     check("jacobi prefix", jacobi.coeffs == _JACOBI_PREFIX)
     table = series.eta_power_series(26, args.limit, args.budget_mb)
-    mismatch = [n for n in range(args.limit + 1) if p26_cm(n) != table[n]]
+    facs = arith.factor_progression(12, 13, 0, args.limit)  # RangeStream's sieve
+    mismatch = [n for n, fac in enumerate(facs) if p26_cm(n, fac) != table[n]]
     check(f"cm = series on [0, {args.limit}]", not mismatch,
           f"first mismatch at n={mismatch[0]}" if mismatch else "")
     for rep in props.run_all(args.prime_bound, args.exp_bound, args.l_bound):

@@ -185,6 +185,22 @@ CATALOGUE = (
            "if not anchored & _ANCHOR_BITS[q]:",
            "if False:",
            "tests/test_classify.py::test_check_family_matches_reference_at_gate_shapes"),
+    Mutant("cli-selftest-ignores-cm-mismatch", "src/eta26/cli.py",
+           "not mismatch,",
+           "True,",
+           "tests/test_cli.py::test_selftest_checks_cm_against_series_over_the_range_sieve"),
+    Mutant("arith-primes-keep-zero-and-one", "src/eta26/arith.py",
+           "        if lo == 0:\n            flags[:2] = b\"\\x00\\x00\"\n",
+           "",
+           "tests/test_arith.py::test_primes_below_boundaries"),
+    Mutant("arith-is-prime-below-two-unguarded", "src/eta26/arith.py",
+           "    if m < 2:\n        return False\n",
+           "",
+           "tests/test_arith.py::test_is_prime_agrees_with_sieve"),
+    Mutant("arith-ecm-plan-signed-offset", "src/eta26/arith.py",
+           "abs(q - m * _ECM_D)",
+           "q - m * _ECM_D",
+           "tests/test_arith.py::test_ecm_plan_matches_a_double_loop_reference"),
 )
 
 
@@ -234,8 +250,10 @@ def main(argv: list[str]) -> int:
             if not _apply(workdir, mutant):
                 verdict = "stale (old text not found exactly once)"
             else:
-                # 1: the test failed; 2: its module no longer imports
-                verdict = "killed" if _pytest(workdir, [mutant.test]) in (1, 2) else "SURVIVED"
+                # 1: the test failed; 2, or 4 for a node id (no collectors
+                # found), since the unmutated copy passed: its module no
+                # longer imports
+                verdict = "killed" if _pytest(workdir, [mutant.test]) in (1, 2, 4) else "SURVIVED"
         bad += verdict != "killed"
         print(f"{mutant.name}: {verdict}", flush=True)
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")

@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_left
-from itertools import compress
 
 import pytest
 import sympy
@@ -10,8 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import eta26.arith as arith
-from eta26 import FactoringBudgetError, Factorization, factorize, is_prime, primes_below
+from eta26 import FactoringBudgetError, Factorization, factorize, is_prime
 from eta26.arith import SIEVE_BOUND
+
+
+def _primes_below(bound):
+    return list(arith._primes(bound))
 
 
 def test_factorize_examples():
@@ -91,7 +94,7 @@ def test_is_prime_examples():
 
 
 def test_is_prime_agrees_with_sieve():
-    sieve = set(primes_below(2000))
+    sieve = set(arith._primes(2000))
     for m in range(2000):
         assert is_prime(m) == (m in sieve)
 
@@ -101,7 +104,8 @@ def _trial_division_is_prime(m):
 
 
 def test_is_prime_table_matches_trial_division():
-    # the lookup table below the bound, and Miller-Rabin just past it
+    # below 2047 the bases' divisibility and Miller-Rabin base 2 are exact;
+    # this checks them, and the bases that follow, to just past SIEVE_BOUND
     for m in range(SIEVE_BOUND + 100):
         assert is_prime(m) == _trial_division_is_prime(m), m
 
@@ -175,6 +179,24 @@ def test_ecm_never_returns_n(monkeypatch):
 
 def test_ecm_curve_returns_1_when_it_finds_neither_prime():
     assert arith._ecm_curve(_ECM_N, 8, 150, [10**6]) == 1
+
+
+def _reference_ecm_plan(b1):
+    """(k, steps, cost) by lcm and a double loop over (m, j) with sympy.isprime."""
+    d = arith._ECM_D
+    b2 = min(100 * b1, SIEVE_BOUND - 1)
+    steps = tuple(
+        tuple(j for j in range(1, d // 2, 2)
+              if any(b1 < q <= b2 and sympy.isprime(q) for q in (m * d - j, m * d + j)))
+        for m in range(1, (b2 + d // 2) // d + 1))
+    cost = 6 * (d // 4 + 2 + len(steps)) + 3 * sum(map(len, steps))
+    return math.lcm(*range(1, b1 + 1)), steps, cost
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_ecm_plan_matches_a_double_loop_reference(k):
+    b1 = arith._ECM_B1 << k
+    assert arith._ecm_plan(b1) == _reference_ecm_plan(b1)
 
 
 def test_the_budget_test_semiprime_reaches_ecm(monkeypatch):
@@ -315,7 +337,7 @@ def test_factor_progression_takes_each_start_offset_once(monkeypatch):
     assert inverses == []
     rest = list(facs)
     assert len(rest) == 3000
-    assert inverses == primes_below(math.isqrt(12 * (10**6 + 3000) + 13) + 1)[2:]
+    assert inverses == _primes_below(math.isqrt(12 * (10**6 + 3000) + 13) + 1)[2:]
 
 
 def test_factor_progression_factorizes_only_the_first_index(monkeypatch):
@@ -341,32 +363,29 @@ def test_factor_progression_rejects_bad_windows():
 
 
 def test_primes_below():
-    assert primes_below(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert primes_below(2) == []
-    big = primes_below(200_000)  # beyond the internal sieve bound
+    assert _primes_below(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert _primes_below(2) == []
+    big = _primes_below(200_000)  # more than one segment
     assert len(big) == sympy.primepi(199_999)
     assert big[-1] == sympy.prevprime(200_000)
 
 
-def test_primes_below_boundaries_and_fresh_list():
-    assert primes_below(-5) == primes_below(0) == primes_below(2) == []
-    assert primes_below(3) == [2]
-    assert primes_below(19) == [2, 3, 5, 7, 11, 13, 17]
-    full = primes_below(100_000)  # exactly the internal sieve bound
-    assert len(full) == sympy.primepi(99_999)
-    full.clear()
-    assert primes_below(100_000)[:3] == [2, 3, 5]
+def test_primes_below_boundaries():
+    assert _primes_below(-5) == _primes_below(0) == _primes_below(2) == []
+    assert _primes_below(3) == [2]
+    assert _primes_below(19) == [2, 3, 5, 7, 11, 13, 17]
+    assert len(_primes_below(100_000)) == sympy.primepi(99_999)
 
 
 def test_primes_past_the_sieve_bound_come_one_segment_at_a_time():
-    # bounds at and next to the segment edges give one whole sieve's primes,
-    # and a sweep to 3e5 holds one segment (64 KiB), where a list of its
-    # primes would take about 0.9 MiB
+    # bounds at and next to the segment edges, counted from 0, give sympy's
+    # primes, and a sweep to 3e5 holds one segment (64 KiB), where a list of
+    # its primes would take about 0.9 MiB
     segment = arith._PRIME_SEGMENT
-    top = SIEVE_BOUND + 3 * segment + 2
-    whole = list(compress(range(top), arith._sieve(top)))
-    for bound in (SIEVE_BOUND + 1, SIEVE_BOUND + segment, SIEVE_BOUND + segment + 1, top):
-        assert primes_below(bound) == whole[: bisect_left(whole, bound)], bound
+    top = 3 * segment + 2
+    whole = list(sympy.primerange(top))
+    for bound in (segment - 1, segment, segment + 1, 2 * segment, 2 * segment + 1, top):
+        assert _primes_below(bound) == whole[: bisect_left(whole, bound)], bound
     tracemalloc.start()
     try:
         count = sum(1 for _ in arith._primes(300_000))
@@ -423,7 +442,7 @@ def test_psi_k_is_composite_and_fools_the_first_k_bases(k):
 
 def test_is_prime_agrees_with_sieve_to_2e6():
     flags = bytearray(2_000_000)
-    for p in primes_below(2_000_000):
+    for p in arith._primes(2_000_000):
         flags[p] = 1
     for m in range(SIEVE_BOUND, 2_000_000):
         assert is_prime(m) == flags[m], m

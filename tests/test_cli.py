@@ -474,6 +474,25 @@ def test_selftest_fails_on_an_unexplained_zero(monkeypatch, capsys):
     assert out.count("FAIL") == 1
 
 
+def test_selftest_checks_cm_against_series_over_the_range_sieve(monkeypatch, capsys):
+    # every index of the sweep is evaluated on the sieve's factorization of
+    # 12n + 13, and one skewed value fails the check at its index
+    calls = []
+
+    def skewed(n, fac=None):
+        calls.append((n, fac))
+        return hecke.p26_cm(n, fac) + (n == 17)
+
+    monkeypatch.setattr(cli, "p26_cm", skewed)
+    code, out, _ = run(capsys, ["selftest", "--limit", "40", "--prime-bound", "300",
+                                "--exp-bound", "4", "--l-bound", "1"])
+    assert [n for n, _ in calls] == list(range(41))
+    assert all(fac is not None and fac.value == 12 * n + 13 for n, fac in calls)
+    assert code == 2
+    assert "selftest cm = series on [0, 40]: FAIL  (first mismatch at n=17)" in out.splitlines()
+    assert out.count("FAIL") == 1
+
+
 def test_mt_check_violation_stderr_and_summary(monkeypatch, capsys):
     _spoil(monkeypatch, "check_family", 3, predicted="zero")  # 12n + 1 = 37, nonzero
     code, out, err = run(capsys, ["mt-check", "25", "0", "10", "--output", "json"])

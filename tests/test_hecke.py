@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import primerange
 
 import eta26.hecke as hecke_mod
 from eta26 import (
@@ -17,7 +18,6 @@ from eta26 import (
     factorize,
     p26_cm,
     p26_oracle,
-    primes_below,
     t1_prime,
     t2_prime,
     t_prime_powers,
@@ -115,7 +115,7 @@ def test_values_at_13_by_direct_expansion():
 
 def test_prime_values_match_direct_twelfth_powers():
     # the prime-value core against twelfth powers by repeated multiplication
-    for p in primes_below(600):
+    for p in primerange(600):
         if p < 5:
             continue
         if p % 4 == 1:
@@ -183,7 +183,7 @@ def test_parity_of_minus_branch():
 
 
 def test_ramanujan_bound():
-    for p in primes_below(3000):
+    for p in primerange(3000):
         if p < 5:
             continue
         if p % 4 == 1:
@@ -281,7 +281,7 @@ def test_oracle_equivalence_small_range():
 LIFT_LIMIT = 6000
 # the primes l = 11 (mod 12) below 400, where t1(l) = t2(l) = 0 and
 # t1(l^2) = t2(l^2) = l^12
-LIFT_PRIMES = [p for p in primes_below(400) if p % 12 == 11]
+LIFT_PRIMES = [p for p in primerange(400) if p % 12 == 11]
 
 
 def _lifts(l, ks):
@@ -464,7 +464,7 @@ def test_bundle_equals_the_product_at_higher_exponents(m):
     assert coeff_bundle(m) == _product_bundle(m)
 
 
-_SHAPE_PRIMES = {c: [p for p in primes_below(2000) if p % 12 == c] for c in (1, 5, 7, 11)}
+_SHAPE_PRIMES = {c: [p for p in primerange(2000) if p % 12 == c] for c in (1, 5, 7, 11)}
 
 
 @st.composite
@@ -500,7 +500,7 @@ def test_prime_value_cache_holds_only_small_primes(monkeypatch):
     assert len(reports) == 30001
     cached = hecke_mod._SMALL_VALUES
     assert cached and max(cached) < SIEVE_BOUND
-    assert len(cached) <= len(primes_below(SIEVE_BOUND))
+    assert len(cached) <= len(list(primerange(SIEVE_BOUND)))
     p = 100003  # 7 (mod 12), above the bound; recomputed on each call
     assert t1_prime(p) == t1_prime(p) == _t1_direct(p)
     assert t2_prime(p) == t2_prime(p) == 0

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primerange
 
 from eta26 import (
-    BudgetError, arith, hecke, p26_oracle, primes_below, props, t1_prime,
+    BudgetError, arith, hecke, p26_oracle, props, t1_prime,
     t2_prime, t_prime_powers,
 )
 from eta26.cli import main
@@ -51,7 +52,7 @@ def test_t2_reference_residues_mod_7():
 def test_t2_divisibility_sweep():
     report = _reports(800, 6)["t2-divisibility-5mod12"]
     assert report.ok
-    assert report.checked == sum(1 for p in primes_below(800) if p % 12 == 5)
+    assert report.checked == sum(1 for p in primerange(800) if p % 12 == 5)
     assert report.prop_id == "t2-divisibility-5mod12"
 
 
@@ -126,7 +127,7 @@ def test_difference_verifier_memory_does_not_grow_with_the_exponent():
 
 
 def test_halves_are_odd_at_1_mod_12():
-    for p in primes_below(2000):
+    for p in primerange(2000):
         if p % 12 != 1:
             continue
         v1, v2 = t1_prime(p).a, t2_prime(p)
@@ -137,7 +138,7 @@ def test_halves_are_odd_at_1_mod_12():
 def test_combination_divisible_by_3_at_split_primes():
     # t1 and t2 agree with their minus branches here, so the coefficient
     # combination at p is 2(t1(p) - t2(p)); always a multiple of 3
-    for p in primes_below(2000):
+    for p in primerange(2000):
         if p % 12 == 1:
             assert (2 * (t1_prime(p).a - t2_prime(p))) % 3 == 0
 
@@ -267,7 +268,7 @@ def _pairs(values, q):
 
 
 def test_reduced_recursion_matches_exact_below_2000():
-    for p in primes_below(2000):
+    for p in primerange(2000):
         if p % 12 not in (1, 5, 7):
             continue
         for ta, tb in _lanes(p):
@@ -311,7 +312,7 @@ def _reference_reduced(ta, tb, p, length, q, chi):
 
 
 def test_shared_reduced_sequences_match_a_reference_below_2000():
-    for p in primes_below(2000):
+    for p in primerange(2000):
         if p % 12 not in (1, 5, 7):
             continue
         chi = 1 if p % 4 == 1 else -1
@@ -330,7 +331,7 @@ def _state(ta, tb, p, q):
 
 def test_cached_period_matches_a_reference_past_two_periods():
     states = set()
-    for p in primes_below(2000):
+    for p in primerange(2000):
         if p % 12 not in (1, 5, 7):
             continue
         chi = 1 if p % 4 == 1 else -1
@@ -404,7 +405,7 @@ def _object_recursion(t_p, p, alpha_max, chi):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
        st.integers(-10**40, 10**40),
-       st.sampled_from([p for p in primes_below(5000) if p > 2]),
+       st.sampled_from([p for p in primerange(5000) if p > 2]),
        st.integers(0, 30))
 def test_pair_recursion_matches_the_object_recursion(a, b, c, p, alpha):
     # the (a, b) lane is t1 in Z[sqrt(-3)], the c lane t2 in Z
@@ -440,7 +441,7 @@ def test_one_pass_equals_the_separate_verifiers(flip, monkeypatch, fault, bounds
     assert [r.exponent_bound for r in reports] == [exponent_bound] * 3 + [l_bound, exponent_bound]
     classes = [{5}, {7}, {1}, {1}, {1, 5, 7}]
     assert [r.checked for r in reports] == [
-        sum(1 for p in primes_below(prime_bound) if p % 12 in c) for c in classes]
+        sum(1 for p in primerange(prime_bound) if p % 12 in c) for c in classes]
 
 
 def test_one_pass_reads_each_prime_value_once(monkeypatch):
@@ -453,7 +454,7 @@ def test_one_pass_reads_each_prime_value_once(monkeypatch):
 
     monkeypatch.setattr(props, "_prime_values", counted)
     run_all(3000, 6, 2)
-    assert calls == [p for p in primes_below(3000) if p % 12 in (1, 5, 7)]
+    assert calls == [p for p in primerange(3000) if p % 12 in (1, 5, 7)]
 
 
 def test_one_pass_certifies_no_prime(monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eta26 import ConsistencyError, is_prime, p26_cm, primes_below, quadrep
+from sympy import primerange
+
+from eta26 import ConsistencyError, is_prime, p26_cm, quadrep
 from eta26.quadrep import EisRep, GaussRep, _eis_rep, _gauss_rep
 
 
@@ -94,7 +96,7 @@ def _all_gauss_solutions(p):
 def test_gauss_normalization_unique():
     # among all integer solutions, exactly one satisfies the published
     # congruence constraints
-    for p in primes_below(1500):
+    for p in primerange(1500):
         if p % 4 != 1:
             continue
         rep = _gauss_rep(p)
@@ -118,7 +120,7 @@ def test_gauss_normalization_unique():
 
 
 def test_eis_invariants_sweep():
-    for p in primes_below(1500):
+    for p in primerange(1500):
         if p % 3 != 1 or p < 5:
             continue
         rep = _eis_rep(p)
@@ -134,7 +136,7 @@ def test_eis_invariants_sweep():
 
 def test_sign_correlation_at_1_mod_12():
     # the two sign branches always agree; hecke relies on this
-    for p in primes_below(10_000):
+    for p in primerange(10_000):
         if p % 12 == 1:
             assert _gauss_rep(p).sign_plus == _eis_rep(p).sign_plus, p
 
@@ -158,7 +160,7 @@ def test_rep_constructors_validate():
 
 
 def test_reps_match_enumeration_below_2e5():
-    _assert_reps_match_enumeration([p for p in primes_below(200_000) if p >= 5])
+    _assert_reps_match_enumeration([p for p in primerange(200_000) if p >= 5])
 
 
 def _next_prime(n):
